@@ -94,10 +94,14 @@ class TaskGroup {
   }
 
   void OnTaskDone() {
-    // The notify must hold the mutex: Wait() decides to sleep under it, and
-    // an unlocked notify could slip between its predicate check and sleep.
+    // Decrement and notify under the mutex. Wait() may return (and the
+    // group die with its stack frame) as soon as it sees the count at zero,
+    // but it takes mu_ before returning, so holding mu_ across the
+    // decrement keeps the group alive until this worker is done with it.
+    // The notify must hold the mutex anyway: Wait() decides to sleep under
+    // it, and an unlocked notify could slip between its check and sleep.
+    std::lock_guard<std::mutex> lock(mu_);
     if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
       done_cv_.notify_all();
     }
   }

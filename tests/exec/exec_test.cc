@@ -206,6 +206,25 @@ TEST(TaskGroupTest, NestedForkJoin) {
   EXPECT_EQ(counter.load(), 16 * 16);
 }
 
+TEST(TaskGroupTest, ShortLivedStackGroupsOutliveTheirLastTask) {
+  // The last task to finish signals the joiner. Wait() may return as soon
+  // as it sees the group drained, and the group then dies with the stack
+  // frame, so the worker must be done with the group's mutex and condvar
+  // by the time the pending count can read zero. Many tiny groups in a row
+  // make the window between "count hit zero" and "notify returned" likely
+  // to be hit (TSan reports it as a use of a destroyed mutex).
+  ThreadPool pool(4);
+  std::atomic<int> counter{0};
+  constexpr int kGroups = 5000;
+  for (int g = 0; g < kGroups; ++g) {
+    TaskGroup group(&pool);
+    group.Run([&counter] { counter.fetch_add(1); });
+    group.Run([&counter] { counter.fetch_add(1); });
+    group.Wait();
+  }
+  EXPECT_EQ(counter.load(), 2 * kGroups);
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 4, 8}) {
     for (size_t grain : {1u, 7u, 64u, 10000u}) {

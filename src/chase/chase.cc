@@ -27,79 +27,87 @@ struct ChasePublishGuard {
   }
 };
 
-/// Fires one tgd trigger: extends the universal binding with fresh nulls for
-/// the existential variables and inserts the instantiated RHS into `target`.
-void FireTgd(const Tgd& tgd, const Binding& universal, Instance* target,
-             int64_t* null_counter, ChaseStats* stats) {
-  Binding h = universal;
-  for (VarId y : tgd.ExistentialVars()) {
-    h.Set(y, Value::Null((*null_counter)++));
-    ++stats->nulls_created;
-  }
-  for (const Atom& atom : tgd.rhs()) {
-    target->Insert(atom.relation, h.Instantiate(atom));
-  }
-}
-
-/// Applies the first violated egd trigger found, if any. Returns true when a
+/// Applies the first violated egd trigger found, if any: kUnify when a
 /// unification was applied (the instance was mutated, enumeration must
-/// restart). Sets `failed` when two distinct constants are equated.
-bool ApplyOneEgdStep(const SchemaMapping& mapping, Instance* target,
-                     const EvalOptions& eval, ChaseStats* stats, bool* failed,
-                     std::string* failure_message) {
+/// restart), kFailure when two distinct constants are equated, kNoop when
+/// every egd holds.
+EgdUnification::Kind ApplyOneEgdStep(const SchemaMapping& mapping,
+                                     Instance* target, const EvalOptions& eval,
+                                     ChaseObserver* observer, ChaseStats* stats,
+                                     std::string* failure_message) {
   for (size_t e = 0; e < mapping.NumEgds(); ++e) {
-    const Egd& egd = mapping.egd(static_cast<EgdId>(e));
+    const auto id = static_cast<EgdId>(e);
+    const Egd& egd = mapping.egd(id);
     Binding b(egd.num_vars());
     MatchIterator it(*target, egd.lhs(), &b, eval,
                      MakePlanKey(PlanKeyFamily::kChaseEgd, e));
     // The iterator's counters are folded into `stats` on every exit path
-    // (ApplySubstitution invalidates it, so each step uses a fresh one).
+    // (a unification invalidates it, so each step uses a fresh one).
     while (it.Next()) {
-      const Value& left = b.Get(egd.left());
-      const Value& right = b.Get(egd.right());
-      EgdUnification u = ChooseEgdUnification(left, right);
+      EgdUnification u = ApplyEgdTrigger(egd, b, target);
       if (u.kind == EgdUnification::Kind::kNoop) continue;
-      if (u.kind == EgdUnification::Kind::kFailure) {
-        *failed = true;
-        *failure_message = "egd '" + egd.name() +
-                           "' equates distinct constants " + left.ToString() +
-                           " and " + right.ToString();
-        stats->eval += it.stats();
-        return false;
-      }
-      target->ApplySubstitution(u.victim, u.replacement);
-      ++stats->egd_steps;
       stats->eval += it.stats();
-      return true;
+      if (u.kind == EgdUnification::Kind::kFailure) {
+        *failure_message = EgdFailureMessage(egd, b);
+        if (observer != nullptr) observer->OnEgdFailure(id, b);
+        return u.kind;
+      }
+      ++stats->egd_steps;
+      if (observer != nullptr) {
+        observer->OnEgdStep(id, b, u.victim, u.replacement);
+      }
+      return u.kind;
     }
     stats->eval += it.stats();
   }
-  return false;
+  return EgdUnification::Kind::kNoop;
 }
 
 }  // namespace
 
-EgdUnification ChooseEgdUnification(const Value& left, const Value& right) {
-  EgdUnification result;
-  if (left == right) return result;
-  if (left.is_constant() && right.is_constant()) {
-    result.kind = EgdUnification::Kind::kFailure;
-    return result;
+Binding FireTgdTrigger(const Tgd& tgd, const Binding& universal,
+                       Instance* target, int64_t* next_null_id) {
+  Binding h = universal;
+  for (VarId y : tgd.ExistentialVars()) {
+    h.Set(y, Value::Null((*next_null_id)++));
   }
-  result.kind = EgdUnification::Kind::kUnify;
+  for (const Atom& atom : tgd.rhs()) {
+    target->Insert(atom.relation, h.Instantiate(atom));
+  }
+  return h;
+}
+
+EgdUnification ApplyEgdTrigger(const Egd& egd, const Binding& h,
+                               Instance* target) {
+  const Value& left = h.Get(egd.left());
+  const Value& right = h.Get(egd.right());
+  EgdUnification u;
+  if (left == right) return u;
+  if (left.is_constant() && right.is_constant()) {
+    u.kind = EgdUnification::Kind::kFailure;
+    return u;
+  }
+  u.kind = EgdUnification::Kind::kUnify;
   if (left.is_null() &&
       (right.is_constant() || right.AsNull().id < left.AsNull().id)) {
-    result.victim = left.AsNull();
-    result.replacement = right;
+    u.victim = left.AsNull();
+    u.replacement = right;
   } else {
-    result.victim = right.AsNull();
-    result.replacement = left;
+    u.victim = right.AsNull();
+    u.replacement = left;
   }
-  return result;
+  target->ApplySubstitution(u.victim, u.replacement);
+  return u;
+}
+
+std::string EgdFailureMessage(const Egd& egd, const Binding& h) {
+  return "egd '" + egd.name() + "' equates distinct constants " +
+         h.Get(egd.left()).ToString() + " and " +
+         h.Get(egd.right()).ToString();
 }
 
 ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
-                  const ChaseOptions& options) {
+                  const ChaseOptions& options, ChaseObserver* observer) {
   ChaseResult result;
   ChasePublishGuard publish_guard{&result.stats};
   obs::TraceSpan chase_span("chase", "chase");
@@ -108,6 +116,13 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
   int64_t null_counter = options.first_null_id;
   size_t steps = 0;
   auto over_limit = [&]() { return steps > options.max_steps; };
+  auto fire = [&](TgdId id, const Tgd& tgd, const Binding& universal) {
+    const int64_t first_null = null_counter;
+    Binding h = FireTgdTrigger(tgd, universal, &target, &null_counter);
+    result.stats.nulls_created +=
+        static_cast<size_t>(null_counter - first_null);
+    if (observer != nullptr) observer->OnTgdStep(id, h);
+  };
 
   // Every query the chase issues goes through one plan cache, so a tgd
   // whose premise is re-evaluated across rounds (or whose RHS is re-checked
@@ -165,7 +180,7 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
         if (!HasMatch(target, tgd.rhs(), b, eval, &result.stats.eval,
                       MakePlanKey(PlanKeyFamily::kChaseRhsCheck,
                                   static_cast<uint64_t>(st_tgds[i])))) {
-          FireTgd(tgd, b, &target, &null_counter, &result.stats);
+          fire(st_tgds[i], tgd, b);
           ++result.stats.st_steps;
         }
       }
@@ -207,7 +222,7 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
         if (HasMatch(target, tgd.rhs(), b, eval, &result.stats.eval, rhs_key)) {
           continue;
         }
-        FireTgd(tgd, b, &target, &null_counter, &result.stats);
+        fire(id, tgd, b);
         ++result.stats.target_steps;
         changed = true;
       }
@@ -215,18 +230,18 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
     }
     // Egds: unify until none applies.
     obs::TraceSpan egd_span("chase", "egd_fixpoint");
-    bool failed = false;
     while (!over_limit()) {
       ThrowIfCancelled(options.cancel);
       ++steps;
-      bool fired = ApplyOneEgdStep(mapping, &target, eval, &result.stats,
-                                   &failed, &result.failure_message);
-      if (failed) {
+      EgdUnification::Kind applied =
+          ApplyOneEgdStep(mapping, &target, eval, observer, &result.stats,
+                          &result.failure_message);
+      if (applied == EgdUnification::Kind::kFailure) {
         result.outcome = ChaseOutcome::kEgdFailure;
         result.next_null_id = null_counter;
         return result;
       }
-      if (!fired) break;
+      if (applied == EgdUnification::Kind::kNoop) break;
       changed = true;
     }
   }

@@ -95,12 +95,11 @@ struct ChaseStats {
   }
 };
 
-/// Outcome of comparing the two sides of a violated egd equality: what the
-/// chase step must do about `left` != `right`.
+/// What an egd trigger did to the target (see ApplyEgdTrigger).
 struct EgdUnification {
   enum class Kind {
     kNoop,     ///< Values already equal — nothing to do.
-    kUnify,    ///< Replace `victim` by `replacement`.
+    kUnify,    ///< `victim` was replaced by `replacement`.
     kFailure,  ///< Two distinct constants — no solution exists.
   };
   Kind kind = Kind::kNoop;
@@ -108,11 +107,47 @@ struct EgdUnification {
   Value replacement;
 };
 
-/// The deterministic unification rule shared by every chase variant (plain,
-/// annotated, incremental): a labeled null yields to a constant, and of two
-/// nulls the one with the larger id is replaced, so the result does not
-/// depend on enumeration order.
-EgdUnification ChooseEgdUnification(const Value& left, const Value& right);
+/// Fires one tgd trigger: binds every existential variable of `tgd` to a
+/// fresh labeled null drawn from *next_null_id and inserts the instantiated
+/// RHS into *target. Returns the full binding. Every chase path (the whole
+/// chase and the incremental maintainer's delta firing) fires through this.
+Binding FireTgdTrigger(const Tgd& tgd, const Binding& universal,
+                       Instance* target, int64_t* next_null_id);
+
+/// Applies one egd trigger `h` of `egd` to *target under the deterministic
+/// unification rule shared by every chase path: a labeled null yields to a
+/// constant, and of two nulls the one with the larger id is replaced, so
+/// the result does not depend on enumeration order. The target is rewritten
+/// only on kUnify.
+EgdUnification ApplyEgdTrigger(const Egd& egd, const Binding& h,
+                               Instance* target);
+
+/// "egd 'name' equates distinct constants a and b" for a failing trigger.
+std::string EgdFailureMessage(const Egd& egd, const Binding& h);
+
+/// Receives every step a chase applies, in application order, on the thread
+/// that called Chase() (enumeration fan-out never calls it). Chase() with no
+/// observer is the plain chase; the annotated chase and the incremental
+/// maintainer attach one to record provenance as the chase runs.
+class ChaseObserver {
+ public:
+  /// `tgd` fired with `h`: its universal variables plus the nulls invented
+  /// for its existential ones. The RHS is already in the target.
+  virtual void OnTgdStep(TgdId tgd, const Binding& h) = 0;
+
+  /// `egd`, matched by `h`, replaced `victim` by `replacement`. The target
+  /// is already rewritten.
+  virtual void OnEgdStep(EgdId egd, const Binding& h, NullId victim,
+                         const Value& replacement) = 0;
+
+  /// `egd`, matched by `h`, equates two distinct constants; the chase stops
+  /// with kEgdFailure right after this call.
+  virtual void OnEgdFailure(EgdId /*egd*/, const Binding& /*h*/) {}
+
+ protected:
+  /// Observers are never owned or deleted through this interface.
+  ~ChaseObserver() = default;
+};
 
 struct ChaseResult {
   ChaseOutcome outcome = ChaseOutcome::kSuccess;
@@ -131,9 +166,12 @@ struct ChaseResult {
 /// chase). On success the result is a universal solution for `source`.
 ///
 /// This is the library's stand-in for Clio's execution engine: the route
-/// algorithms accept any solution, and the chase produces one.
+/// algorithms accept any solution, and the chase produces one. A non-null
+/// `observer` is told about every step as it is applied; it never changes
+/// what the chase does.
 ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
-                  const ChaseOptions& options = {});
+                  const ChaseOptions& options = {},
+                  ChaseObserver* observer = nullptr);
 
 /// Chases `scenario.source` and stores the produced solution into
 /// `scenario.target` (replacing it), advancing `scenario.max_null_id`.

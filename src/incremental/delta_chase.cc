@@ -9,7 +9,6 @@
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
-#include "provenance/annotated_chase.h"
 
 namespace spider {
 
@@ -128,11 +127,12 @@ IncrementalChaser::IncrementalChaser(const SchemaMapping* mapping,
       source_(source),
       target_(target),
       options_(std::move(options)),
-      eval_(options_.eval),
       null_counter_(options_.first_null_id) {
   SPIDER_CHECK(mapping_ != nullptr && source_ != nullptr && target_ != nullptr,
                "IncrementalChaser requires a mapping and both instances");
-  if (eval_.plan_cache == nullptr) eval_.plan_cache = &owned_cache_;
+  if (options_.eval.plan_cache == nullptr) {
+    options_.eval.plan_cache = &owned_cache_;
+  }
   FullRechase(nullptr);  // The initial build IS a "re"-chase from nothing.
   // The token only covers the opening chase: Apply() mutates in place and
   // must not abort halfway, so later FullRechase calls run token-free.
@@ -141,51 +141,33 @@ IncrementalChaser::IncrementalChaser(const SchemaMapping* mapping,
 
 void IncrementalChaser::FullRechase(ApplyDeltaResult* result) {
   obs::TraceSpan span("incremental", "full_rechase");
-  AnnotatedChaseOptions aco;
-  aco.max_steps = options_.max_steps;
-  aco.first_null_id = null_counter_;
-  aco.eval = eval_;
-  aco.cancel = options_.cancel;
-  AnnotatedChaseResult chased = AnnotatedChase(*mapping_, *source_, aco);
-  SPIDER_CHECK(chased.outcome == AnnotatedChaseOutcome::kSuccess,
+  facts_.clear();
+  derivs_.clear();
+  fact_of_.clear();
+  egd_fired_ = false;
+  ChaseOptions chase_options = options_;
+  chase_options.first_null_id = null_counter_;
+  // The chase plans against its own scratch target, so it keeps its plans
+  // in a chase-local cache rather than the caller's.
+  chase_options.eval.plan_cache = nullptr;
+  ChaseResult chased = Chase(*mapping_, *source_, chase_options, this);
+  SPIDER_CHECK(chased.outcome == ChaseOutcome::kSuccess,
                "incremental full re-chase failed: " + chased.failure_message);
   target_->ReplaceContents(std::move(*chased.target));
   null_counter_ = chased.next_null_id;
-  ImportLog(chased.log);
   if (result != nullptr) {
     result->full_rechase = true;
     ++stats_.full_rechases;
   }
 }
 
-void IncrementalChaser::ImportLog(const AnnotatedChaseLog& log) {
-  facts_.clear();
-  derivs_.clear();
-  fact_of_.clear();
-  std::vector<FactId> node_of(log.NumFacts(), -1);
-  for (size_t i = 0; i < log.NumFacts(); ++i) {
-    auto id = static_cast<AnnotatedChaseLog::ProvFactId>(i);
-    if (log.MergedAway(id)) continue;
-    node_of[i] = NewFact(FactKey{Side::kTarget, log.relation(id),
-                                 log.tuple(id)});
-  }
-  for (const AnnotatedChaseLog::TgdStep& step : log.tgd_steps()) {
-    Derivation d;
-    d.tgd = step.tgd;
-    for (const FactRef& ref : step.source_lhs) {
-      d.lhs.push_back(
-          EnsureSourceFact(ref.relation, source_->tuple(ref.relation,
-                                                        ref.row)));
-    }
-    for (AnnotatedChaseLog::ProvFactId id : step.target_lhs) {
-      d.lhs.push_back(node_of[log.Resolve(id)]);
-    }
-    for (AnnotatedChaseLog::ProvFactId id : step.rhs) {
-      d.rhs.push_back(node_of[log.Resolve(id)]);
-    }
-    AddDerivation(std::move(d));
-  }
-  egd_fired_ = !log.egd_steps().empty();
+void IncrementalChaser::OnTgdStep(TgdId tgd, const Binding& h) {
+  RecordTgdStep(tgd, h, nullptr, nullptr);
+}
+
+void IncrementalChaser::OnEgdStep(EgdId /*egd*/, const Binding& /*h*/,
+                                  NullId victim, const Value& replacement) {
+  RecordEgdStep(victim, replacement, nullptr, nullptr);
 }
 
 IncrementalChaser::FactId IncrementalChaser::NewFact(FactKey key) {
@@ -516,7 +498,7 @@ size_t IncrementalChaser::EnumerateScoped(
   std::vector<std::vector<Binding>> buffers(items.size());
   std::vector<EvalStats> item_stats(items.size());
   ThreadPool* pool = ThreadPool::For(options_.exec);
-  if (pool != nullptr && eval_.use_indexes) inst.WarmIndexes();
+  if (pool != nullptr && options_.eval.use_indexes) inst.WarmIndexes();
   ParallelFor(pool, 0, items.size(), options_.exec.grain, [&](size_t i) {
     const Item& item = items[i];
     const ScopedQuery& query = queries[item.query];
@@ -535,7 +517,7 @@ size_t IncrementalChaser::EnumerateScoped(
       buffers[i].push_back(std::move(b));
       return;
     }
-    MatchIterator mi(inst, std::move(rest), &b, eval_,
+    MatchIterator mi(inst, std::move(rest), &b, options_.eval,
                      MakePlanKey(family, static_cast<uint64_t>(query.dep),
                                  item.atom));
     while (mi.Next()) buffers[i].push_back(b);
@@ -577,7 +559,7 @@ void IncrementalChaser::EnumerateRefireCandidates(
   std::vector<std::vector<Binding>> buffers(items.size());
   std::vector<EvalStats> item_stats(items.size());
   ThreadPool* pool = ThreadPool::For(options_.exec);
-  if (pool != nullptr && eval_.use_indexes) {
+  if (pool != nullptr && options_.eval.use_indexes) {
     source_->WarmIndexes();
     target_->WarmIndexes();
   }
@@ -591,7 +573,7 @@ void IncrementalChaser::EnumerateRefireCandidates(
       return;
     }
     const Instance& inst = tgd.source_to_target() ? *source_ : *target_;
-    MatchIterator mi(inst, tgd.lhs(), &b, eval_,
+    MatchIterator mi(inst, tgd.lhs(), &b, options_.eval,
                      MakePlanKey(PlanKeyFamily::kDeltaRefire,
                                  static_cast<uint64_t>(item.tgd), item.atom));
     while (mi.Next()) buffers[i].push_back(b);
@@ -617,55 +599,47 @@ std::vector<IncrementalChaser::FactId> IncrementalChaser::FireCandidates(
     if (!seen[c.dep].insert(c.b).second) continue;
     BumpSteps();
     const Tgd& tgd = mapping_->tgd(c.dep);
-    if (HasMatch(*target_, tgd.rhs(), c.b, eval_, &stats_.eval,
+    if (HasMatch(*target_, tgd.rhs(), c.b, options_.eval, &stats_.eval,
                  MakePlanKey(PlanKeyFamily::kChaseRhsCheck,
                              static_cast<uint64_t>(c.dep)))) {
       continue;
     }
-    std::vector<FactId> made = FireTgdStep(c.dep, c.b, result);
-    created.insert(created.end(), made.begin(), made.end());
+    Binding h = FireTgdTrigger(tgd, c.b, target_, &null_counter_);
+    ++(tgd.source_to_target() ? stats_.st_steps : stats_.target_steps);
+    RecordTgdStep(c.dep, h, &created, result);
   }
   return created;
 }
 
-std::vector<IncrementalChaser::FactId> IncrementalChaser::FireTgdStep(
-    TgdId id, const Binding& universal, ApplyDeltaResult* result) {
+void IncrementalChaser::RecordTgdStep(TgdId id, const Binding& h,
+                                      std::vector<FactId>* created,
+                                      ApplyDeltaResult* result) {
   const Tgd& tgd = mapping_->tgd(id);
-  Binding h = universal;
-  for (VarId y : tgd.ExistentialVars()) {
-    h.Set(y, Value::Null(null_counter_++));
-  }
   Derivation d;
   d.tgd = id;
-  if (tgd.source_to_target()) {
-    for (const Atom& atom : tgd.lhs()) {
-      d.lhs.push_back(EnsureSourceFact(atom.relation, h.Instantiate(atom)));
-    }
-  } else {
-    for (const Atom& atom : tgd.lhs()) {
-      d.lhs.push_back(RequireTargetFact(atom.relation, h.Instantiate(atom)));
-    }
-  }
-  std::vector<FactId> created;
-  for (const Atom& atom : tgd.rhs()) {
+  for (const Atom& atom : tgd.lhs()) {
     Tuple tuple = h.Instantiate(atom);
-    target_->Insert(atom.relation, Tuple(tuple));
-    FactKey key{Side::kTarget, atom.relation, std::move(tuple)};
+    d.lhs.push_back(tgd.source_to_target()
+                        ? EnsureSourceFact(atom.relation, tuple)
+                        : RequireTargetFact(atom.relation, tuple));
+  }
+  for (const Atom& atom : tgd.rhs()) {
+    FactKey key{Side::kTarget, atom.relation, h.Instantiate(atom)};
     auto it = fact_of_.find(key);
     FactId f;
     if (it != fact_of_.end()) {
       f = it->second;
     } else {
-      result->added.push_back(key);
-      ++result->target_added;
+      if (result != nullptr) {
+        result->added.push_back(key);
+        ++result->target_added;
+      }
       f = NewFact(std::move(key));
-      created.push_back(f);
+      if (created != nullptr) created->push_back(f);
     }
     d.rhs.push_back(f);
   }
   AddDerivation(std::move(d));
-  ++(tgd.source_to_target() ? stats_.st_steps : stats_.target_steps);
-  return created;
 }
 
 void IncrementalChaser::PropagateFixpoint(std::vector<FactId> frontier,
@@ -731,32 +705,25 @@ void IncrementalChaser::EgdFixpoint(std::vector<FactId>* frontier,
     for (const Candidate& c : cands) {
       BumpSteps();
       const Egd& egd = mapping_->egd(c.dep);
-      const Value& left = c.b.Get(egd.left());
-      const Value& right = c.b.Get(egd.right());
-      EgdUnification u = ChooseEgdUnification(left, right);
+      EgdUnification u = ApplyEgdTrigger(egd, c.b, target_);
       if (u.kind == EgdUnification::Kind::kNoop) continue;
       SPIDER_CHECK(u.kind != EgdUnification::Kind::kFailure,
-                   "egd '" + egd.name() + "' equates distinct constants " +
-                       left.ToString() + " and " + right.ToString() +
+                   EgdFailureMessage(egd, c.b) +
                        " after a source edit: the scenario has no solution");
-      ApplyEgdSubstitution(u.victim, u.replacement, frontier, result);
+      RecordEgdStep(u.victim, u.replacement, frontier, result);
       ++stats_.egd_steps;
-      egd_fired_ = true;
       clean = false;
       break;
     }
   }
 }
 
-void IncrementalChaser::ApplyEgdSubstitution(NullId victim,
-                                             const Value& replacement,
-                                             std::vector<FactId>* frontier,
-                                             ApplyDeltaResult* result) {
-  target_->ApplySubstitution(victim, replacement);
+void IncrementalChaser::RecordEgdStep(NullId victim, const Value& replacement,
+                                      std::vector<FactId>* frontier,
+                                      ApplyDeltaResult* result) {
+  egd_fired_ = true;
   const Value victim_value = Value::Null(victim.id);
-  // Rewrite the fact table to match, rebuilding the key map; two facts that
-  // collapse onto the same tuple merge (the older id survives, mirroring
-  // the annotated chase).
+  // Rewrite the fact table to match the target, rebuilding the key map.
   fact_of_.clear();
   for (FactId f = 0; f < static_cast<FactId>(facts_.size()); ++f) {
     FactNode& node = facts_[f];
@@ -765,24 +732,26 @@ void IncrementalChaser::ApplyEgdSubstitution(NullId victim,
       fact_of_.emplace(node.key, f);
       continue;
     }
-    FactKey old_key = node.key;
+    Tuple& tuple = node.key.tuple;
     bool touched = false;
-    for (size_t c = 0; c < node.key.tuple.arity(); ++c) {
-      if (node.key.tuple.at(c) == victim_value) {
-        node.key.tuple.at(c) = replacement;
-        touched = true;
-      }
+    for (size_t c = 0; c < tuple.arity(); ++c) {
+      if (tuple.at(c) != victim_value) continue;
+      // Report the old key before its first column is rewritten.
+      if (!touched && result != nullptr) result->removed.push_back(node.key);
+      tuple.at(c) = replacement;
+      touched = true;
     }
     if (touched) {
-      result->removed.push_back(std::move(old_key));
-      result->added.push_back(node.key);
-      ++result->target_rewritten;
-      frontier->push_back(f);
+      if (result != nullptr) {
+        result->added.push_back(node.key);
+        ++result->target_rewritten;
+      }
+      if (frontier != nullptr) frontier->push_back(f);
     }
     auto [it, inserted] = fact_of_.emplace(node.key, f);
     if (!inserted) {
       MergeFacts(it->second, f);
-      frontier->push_back(it->second);
+      if (frontier != nullptr) frontier->push_back(it->second);
     }
   }
 }

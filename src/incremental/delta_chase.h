@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "chase/chase.h"
-#include "exec/exec_options.h"
 #include "incremental/fact_key.h"
 #include "incremental/source_delta.h"
 #include "mapping/schema_mapping.h"
@@ -18,36 +17,20 @@
 
 namespace spider {
 
-struct IncrementalOptions {
-  /// Per-batch chase-step safety net (same role as ChaseOptions::max_steps).
-  size_t max_steps = 10'000'000;
-
-  /// First id for labeled nulls invented by the initial chase; later batches
-  /// continue from wherever the previous one stopped. Scenario-aware callers
-  /// pass Scenario::max_null_id + 1.
-  int64_t first_null_id = 1;
-
-  EvalOptions eval;
-
-  /// Parallel fan-out knobs for trigger enumeration (delta-scoped s-t and
-  /// target triggers, backward re-fire matching). As everywhere in spider,
-  /// enumeration buffers per task and fires sequentially in canonical order,
-  /// so the maintained instance, null ids and stats are byte-identical at
-  /// every thread count.
-  ExecOptions exec;
-
+/// ChaseOptions for the opening chase and every batch. `max_steps` bounds
+/// each Apply() separately; `first_null_id` seeds the opening chase (later
+/// batches continue from wherever the previous one stopped); `exec` also
+/// fans out the delta-scoped enumeration, which like the chase buffers per
+/// task and fires in canonical order, so results are byte-identical at every
+/// thread count. `cancel` is observed ONLY during the opening chase in the
+/// constructor (where aborting just discards the half-built chaser): Apply()
+/// batches mutate the instances in place and must run to completion, so the
+/// chaser drops the token after construction.
+struct IncrementalOptions : ChaseOptions {
   /// Escape hatch: treat every batch as entangled and re-chase from scratch
   /// (still through this class, so callers keep the same interface and
   /// dirty-fact reporting). Used to cross-check the incremental paths.
   bool force_full_rechase = false;
-
-  /// Optional cooperative-cancellation token, observed ONLY during the
-  /// opening chase in the constructor (where aborting just discards the
-  /// half-built chaser). Apply() batches mutate the instances in place and
-  /// must run to completion once started, so the chaser drops the token
-  /// after construction — callers wanting cancellable edits must check
-  /// before calling Apply(), never during.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Wall-clock milliseconds per Apply() phase, accumulated across batches.
@@ -115,13 +98,15 @@ struct ApplyDeltaResult {
 /// source data, then re-asks for routes; re-running the whole exchange per
 /// repair is what this avoids).
 ///
-/// Construction runs the initial (annotated) chase of *source into *target
-/// and imports the provenance log as a derivation graph. Each Apply(delta)
-/// then:
+/// Construction runs Chase() of *source into *target with the chaser itself
+/// as the ChaseObserver, so the derivation graph is recorded step by step
+/// as the chase fires. Each Apply(delta) then:
 ///   * insertions — semi-naive trigger enumeration scoped to the delta:
 ///     one LHS atom is bound to a new fact, the remaining atoms are matched
 ///     with the regular spider::query machinery (plan-cached under the
-///     kDelta* key families), fanning out over spider::exec; new facts
+///     kDelta* key families), fanning out over spider::exec; triggers fire
+///     through the chase's own FireTgdTrigger/ApplyEgdTrigger and are
+///     recorded by the same callbacks as the opening chase; new facts
 ///     propagate through target tgds and egds the same way;
 ///   * deletions — DRed over the derivation graph: an over-delete cascade
 ///     condemns everything reachable from the deleted facts, a least-
@@ -133,14 +118,15 @@ struct ApplyDeltaResult {
 /// incrementally), recorded derivations no longer correspond literally to
 /// chase steps, so the next deletion batch conservatively falls back to a
 /// full re-chase (insertion-only batches stay incremental — adding facts
-/// never invalidates a recorded step). The re-chase swaps the new solution
-/// into the SAME Instance object via ReplaceContents, so debugger pointers
-/// stay valid and plan caches see a strictly larger version.
+/// never invalidates a recorded step). The re-chase records a fresh graph
+/// and swaps the new solution into the SAME Instance object via
+/// ReplaceContents, so debugger pointers stay valid and plan caches see a
+/// strictly larger version.
 ///
 /// Invariant (enforced by the differential fuzz suite): after every batch
 /// the maintained target is homomorphically equivalent to the from-scratch
 /// chase of the edited source.
-class IncrementalChaser {
+class IncrementalChaser : private ChaseObserver {
  public:
   /// `mapping`, `source` and `target` must outlive the chaser; the instances
   /// are mutated in place (the chaser is their only legal writer between
@@ -202,7 +188,24 @@ class IncrementalChaser {
   ApplyDeltaResult ApplyImpl(const SourceDelta& delta);
 
   void FullRechase(ApplyDeltaResult* result);
-  void ImportLog(const class AnnotatedChaseLog& log);
+
+  /// ChaseObserver: records the opening chase's and every re-chase's steps.
+  void OnTgdStep(TgdId tgd, const Binding& h) override;
+  void OnEgdStep(EgdId egd, const Binding& h, NullId victim,
+                 const Value& replacement) override;
+
+  /// Adds a fired tgd step to the graph: its LHS facts and its RHS facts
+  /// (new or pre-existing, already in the target). New target facts are
+  /// appended to `created` and reported in `result` (each when non-null).
+  void RecordTgdStep(TgdId id, const Binding& h, std::vector<FactId>* created,
+                     ApplyDeltaResult* result);
+
+  /// Mirrors an applied egd unification on the fact table: rewrites the
+  /// victim null, merges facts that collapse (the older id survives), and
+  /// appends touched facts to `frontier` and their key changes to `result`
+  /// (each when non-null).
+  void RecordEgdStep(NullId victim, const Value& replacement,
+                     std::vector<FactId>* frontier, ApplyDeltaResult* result);
 
   FactId NewFact(FactKey key);
   FactId EnsureSourceFact(RelationId rel, const Tuple& tuple);
@@ -242,11 +245,9 @@ class IncrementalChaser {
                                  std::vector<Candidate>* out);
 
   /// Dedups candidates (per dependency) and fires those whose RHS is not
-  /// already satisfied; returns the created facts.
+  /// already satisfied (through FireTgdTrigger); returns the created facts.
   std::vector<FactId> FireCandidates(const std::vector<Candidate>& cands,
                                      ApplyDeltaResult* result);
-  std::vector<FactId> FireTgdStep(TgdId id, const Binding& universal,
-                                  ApplyDeltaResult* result);
 
   /// Runs delta-scoped target-tgd rounds and egd checks until `frontier`
   /// stops growing.
@@ -256,9 +257,6 @@ class IncrementalChaser {
   /// Scoped egd fixpoint over the dirty facts; substituted/rewritten facts
   /// are appended to `frontier` for the next tgd round.
   void EgdFixpoint(std::vector<FactId>* frontier, ApplyDeltaResult* result);
-  void ApplyEgdSubstitution(NullId victim, const Value& replacement,
-                            std::vector<FactId>* frontier,
-                            ApplyDeltaResult* result);
 
   void BumpSteps();
 
@@ -266,8 +264,7 @@ class IncrementalChaser {
   Instance* source_;
   Instance* target_;
   IncrementalOptions options_;
-  EvalOptions eval_;          ///< options_.eval with the cache filled in.
-  PlanCache owned_cache_;
+  PlanCache owned_cache_;  ///< Used when options_.eval has no cache.
 
   std::vector<FactNode> facts_;
   std::vector<Derivation> derivs_;

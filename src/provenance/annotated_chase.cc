@@ -1,5 +1,6 @@
 #include "provenance/annotated_chase.h"
 
+#include <unordered_map>
 #include <utility>
 
 #include "base/status.h"
@@ -18,87 +19,32 @@ std::optional<AnnotatedChaseLog::ProvFactId> AnnotatedChaseLog::Find(
   return std::nullopt;
 }
 
-std::unique_ptr<Instance> AnnotatedChaseLog::Materialize(
-    const Schema* target_schema) const {
-  auto instance = std::make_unique<Instance>(target_schema);
-  for (const Fact& fact : facts_) {
-    if (!fact.merged_away) instance->Insert(fact.relation, Tuple(fact.tuple));
-  }
-  return instance;
-}
-
-/// Driver for the annotated chase. Keeps the log's fact table in sync with
-/// a working target Instance (used for query evaluation), including across
-/// egd rewrites where row indexes are not stable but ProvFactIds are.
-class AnnotatedChaser {
+/// The chase observer behind AnnotatedChase(): replays every step the chase
+/// applies onto the log's fact table, keeping it in sync with the chase's
+/// target across egd rewrites, where row indexes are not stable but
+/// ProvFactIds are.
+class AnnotatedChaseRecorder : public ChaseObserver {
  public:
-  AnnotatedChaser(const SchemaMapping& mapping, const Instance& source,
-                  const AnnotatedChaseOptions& options)
-      : mapping_(mapping),
-        source_(source),
-        options_(options),
-        target_(std::make_unique<Instance>(&mapping.target())),
-        null_counter_(options.first_null_id) {}
+  AnnotatedChaseRecorder(const SchemaMapping& mapping, const Instance& source,
+                         AnnotatedChaseResult* result)
+      : mapping_(mapping), source_(source), result_(*result),
+        log_(result->log) {}
 
-  AnnotatedChaseResult Run() {
-    AnnotatedChaseResult result;
-    bool ok = StPhase() && TargetFixpoint();
-    result.outcome = failed_ ? AnnotatedChaseOutcome::kEgdFailure
-                     : !ok    ? AnnotatedChaseOutcome::kStepLimit
-                              : AnnotatedChaseOutcome::kSuccess;
-    result.failure_message = failure_message_;
-    result.failure = std::move(failure_);
-    result.log = std::move(log_);
-    result.target = std::move(target_);
-    result.next_null_id = null_counter_;
-    return result;
-  }
-
- private:
-  using ProvFactId = AnnotatedChaseLog::ProvFactId;
-
-  ProvFactId Assert(RelationId relation, Tuple tuple, size_t producer) {
-    InsertResult inserted = target_->Insert(relation, tuple);
-    auto key = std::make_pair(relation, tuple);
-    auto it = fact_of_.find(key);
-    if (it != fact_of_.end()) return it->second;
-    (void)inserted;
-    ProvFactId id = static_cast<ProvFactId>(log_.facts_.size());
-    log_.facts_.push_back(AnnotatedChaseLog::Fact{
-        relation, std::move(tuple), producer, false, -1});
-    fact_of_.emplace(key, id);
-    return id;
-  }
-
-  ProvFactId Require(RelationId relation, const Tuple& tuple) const {
-    auto it = fact_of_.find(std::make_pair(relation, tuple));
-    SPIDER_CHECK(it != fact_of_.end(),
-                 "annotated chase lost track of a fact");
-    return it->second;
-  }
-
-  void FireTgd(TgdId tgd_id, const Binding& universal) {
+  void OnTgdStep(TgdId tgd_id, const Binding& h) override {
     const Tgd& tgd = mapping_.tgd(tgd_id);
-    Binding h = universal;
-    for (VarId y : tgd.ExistentialVars()) {
-      h.Set(y, Value::Null(null_counter_++));
-    }
     AnnotatedChaseLog::TgdStep step;
     step.tgd = tgd_id;
     step.seq = log_.events_.size();
     step.h = h;
-    if (tgd.source_to_target()) {
-      for (const Atom& atom : tgd.lhs()) {
-        Tuple t = h.Instantiate(atom);
-        std::optional<int32_t> row = source_.FindRow(atom.relation, t);
-        SPIDER_CHECK(row.has_value(), "LHS fact missing from the source");
-        step.source_lhs.push_back(FactRef{Side::kSource, atom.relation, *row});
+    for (const Atom& atom : tgd.lhs()) {
+      Tuple t = h.Instantiate(atom);
+      if (!tgd.source_to_target()) {
+        step.target_lhs.push_back(Require(atom.relation, t));
+        continue;
       }
-    } else {
-      for (const Atom& atom : tgd.lhs()) {
-        step.target_lhs.push_back(
-            Require(atom.relation, h.Instantiate(atom)));
-      }
+      std::optional<int32_t> row = source_.FindRow(atom.relation, t);
+      SPIDER_CHECK(row.has_value(), "LHS fact missing from the source");
+      step.source_lhs.push_back(FactRef{Side::kSource, atom.relation, *row});
     }
     size_t step_index = log_.tgd_steps_.size();
     for (const Atom& atom : tgd.rhs()) {
@@ -110,110 +56,63 @@ class AnnotatedChaser {
         AnnotatedChaseLog::Event::Kind::kTgd, step_index});
   }
 
-  bool StPhase() {
-    for (TgdId id : mapping_.st_tgds()) {
-      const Tgd& tgd = mapping_.tgd(id);
-      Binding b(tgd.num_vars());
-      MatchIterator it(source_, tgd.lhs(), &b, options_.eval);
-      while (it.Next()) {
-        ThrowIfCancelled(options_.cancel);
-        if (++steps_ > options_.max_steps) return LimitReached();
-        if (!HasMatch(*target_, tgd.rhs(), b, options_.eval)) {
-          FireTgd(id, b);
-        }
-      }
-    }
-    return true;
+  void OnEgdStep(EgdId egd, const Binding& h, NullId victim,
+                 const Value& replacement) override {
+    AnnotatedChaseLog::EgdStep step;
+    step.egd = egd;
+    step.seq = log_.events_.size();
+    step.h = h;
+    step.victim = victim;
+    step.replacement = replacement;
+    step.lhs = RequireAll(mapping_.egd(egd), h);
+    Substitute(victim, replacement, &step);
+    size_t index = log_.egd_steps_.size();
+    log_.egd_steps_.push_back(std::move(step));
+    log_.events_.push_back(AnnotatedChaseLog::Event{
+        AnnotatedChaseLog::Event::Kind::kEgd, index});
   }
 
-  bool TargetFixpoint() {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (TgdId id : mapping_.target_tgds()) {
-        const Tgd& tgd = mapping_.tgd(id);
-        std::vector<Binding> pending;
-        {
-          Binding b(tgd.num_vars());
-          MatchIterator it(*target_, tgd.lhs(), &b, options_.eval);
-          while (it.Next()) {
-            ThrowIfCancelled(options_.cancel);
-            if (++steps_ > options_.max_steps) return LimitReached();
-            if (!HasMatch(*target_, tgd.rhs(), b, options_.eval)) {
-              pending.push_back(b);
-            }
-          }
-        }
-        for (const Binding& b : pending) {
-          ThrowIfCancelled(options_.cancel);
-          if (++steps_ > options_.max_steps) return LimitReached();
-          if (HasMatch(*target_, tgd.rhs(), b, options_.eval)) continue;
-          FireTgd(id, b);
-          changed = true;
-        }
-      }
-      while (true) {
-        ThrowIfCancelled(options_.cancel);
-        if (++steps_ > options_.max_steps) return LimitReached();
-        int fired = ApplyOneEgd();
-        if (fired < 0) return false;  // hard failure
-        if (fired == 0) break;
-        changed = true;
-      }
-    }
-    return true;
+  void OnEgdFailure(EgdId egd, const Binding& h) override {
+    const Egd& dep = mapping_.egd(egd);
+    result_.failure = EgdFailure{egd, h, h.Get(dep.left()),
+                                 h.Get(dep.right()), RequireAll(dep, h)};
   }
 
-  /// Returns 1 when a unification was applied, 0 when no egd is violated,
-  /// -1 on hard failure.
-  int ApplyOneEgd() {
-    for (size_t e = 0; e < mapping_.NumEgds(); ++e) {
-      const Egd& egd = mapping_.egd(static_cast<EgdId>(e));
-      Binding b(egd.num_vars());
-      MatchIterator it(*target_, egd.lhs(), &b, options_.eval);
-      while (it.Next()) {
-        const Value& left = b.Get(egd.left());
-        const Value& right = b.Get(egd.right());
-        EgdUnification u = ChooseEgdUnification(left, right);
-        if (u.kind == EgdUnification::Kind::kNoop) continue;
-        if (u.kind == EgdUnification::Kind::kFailure) {
-          failed_ = true;
-          failure_message_ = "egd '" + egd.name() +
-                             "' equates distinct constants " +
-                             left.ToString() + " and " + right.ToString();
-          failure_ = EgdFailure{static_cast<EgdId>(e), b, left, right, {}};
-          for (const Atom& atom : egd.lhs()) {
-            failure_->lhs.push_back(
-                Require(atom.relation, b.Instantiate(atom)));
-          }
-          return -1;
-        }
-        NullId victim = u.victim;
-        Value replacement = u.replacement;
-        AnnotatedChaseLog::EgdStep step;
-        step.egd = static_cast<EgdId>(e);
-        step.seq = log_.events_.size();
-        step.h = b;
-        step.victim = victim;
-        step.replacement = replacement;
-        for (const Atom& atom : egd.lhs()) {
-          step.lhs.push_back(Require(atom.relation, b.Instantiate(atom)));
-        }
-        // The match iterator must be finished before mutating the instance.
-        ApplySubstitution(victim, replacement, &step);
-        size_t index = log_.egd_steps_.size();
-        log_.egd_steps_.push_back(std::move(step));
-        log_.events_.push_back(AnnotatedChaseLog::Event{
-            AnnotatedChaseLog::Event::Kind::kEgd, index});
-        return 1;
-      }
-    }
-    return 0;
+ private:
+  using ProvFactId = AnnotatedChaseLog::ProvFactId;
+
+  /// The fact for a tuple the chase just inserted (new or pre-existing).
+  ProvFactId Assert(RelationId relation, Tuple tuple, size_t producer) {
+    auto key = std::make_pair(relation, tuple);
+    auto it = fact_of_.find(key);
+    if (it != fact_of_.end()) return it->second;
+    ProvFactId id = static_cast<ProvFactId>(log_.facts_.size());
+    log_.facts_.push_back(AnnotatedChaseLog::Fact{
+        relation, std::move(tuple), producer, false, -1});
+    fact_of_.emplace(std::move(key), id);
+    return id;
   }
 
-  void ApplySubstitution(NullId victim, const Value& replacement,
-                         AnnotatedChaseLog::EgdStep* step) {
-    target_->ApplySubstitution(victim, replacement);
+  ProvFactId Require(RelationId relation, const Tuple& tuple) const {
+    auto it = fact_of_.find(std::make_pair(relation, tuple));
+    SPIDER_CHECK(it != fact_of_.end(),
+                 "annotated chase lost track of a fact");
+    return it->second;
+  }
+
+  /// The facts of h(φ) for an egd's premise φ.
+  std::vector<ProvFactId> RequireAll(const Egd& egd, const Binding& h) const {
+    std::vector<ProvFactId> ids;
+    for (const Atom& atom : egd.lhs()) {
+      ids.push_back(Require(atom.relation, h.Instantiate(atom)));
+    }
+    return ids;
+  }
+
+  /// Mirrors the chase's substitution on the fact table; two facts that
+  /// collapse onto one tuple merge into the earlier one.
+  void Substitute(NullId victim, const Value& replacement,
+                  AnnotatedChaseLog::EgdStep* step) {
     const Value victim_value = Value::Null(victim.id);
     fact_of_.clear();
     for (size_t i = 0; i < log_.facts_.size(); ++i) {
@@ -230,18 +129,10 @@ class AnnotatedChaser {
       auto key = std::make_pair(fact.relation, fact.tuple);
       auto [it, inserted] = fact_of_.emplace(key, static_cast<ProvFactId>(i));
       if (!inserted) {
-        // Two facts collapsed: keep the earlier one.
         fact.merged_away = true;
         fact.merged_into = it->second;
       }
     }
-  }
-
-  bool LimitReached() {
-    failure_message_ =
-        "annotated chase exceeded max_steps = " +
-        std::to_string(options_.max_steps);
-    return false;
   }
 
   struct KeyHash {
@@ -252,22 +143,20 @@ class AnnotatedChaser {
 
   const SchemaMapping& mapping_;
   const Instance& source_;
-  AnnotatedChaseOptions options_;
-  std::unique_ptr<Instance> target_;
-  AnnotatedChaseLog log_;
+  AnnotatedChaseResult& result_;
+  AnnotatedChaseLog& log_;
   std::unordered_map<std::pair<RelationId, Tuple>, ProvFactId, KeyHash>
       fact_of_;
-  int64_t null_counter_;
-  size_t steps_ = 0;
-  bool failed_ = false;
-  std::string failure_message_;
-  std::optional<EgdFailure> failure_;
 };
 
 AnnotatedChaseResult AnnotatedChase(const SchemaMapping& mapping,
                                     const Instance& source,
-                                    const AnnotatedChaseOptions& options) {
-  return AnnotatedChaser(mapping, source, options).Run();
+                                    const ChaseOptions& options) {
+  AnnotatedChaseResult result;
+  AnnotatedChaseRecorder recorder(mapping, source, &result);
+  static_cast<ChaseResult&>(result) =
+      Chase(mapping, source, options, &recorder);
+  return result;
 }
 
 }  // namespace spider

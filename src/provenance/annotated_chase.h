@@ -2,15 +2,12 @@
 #define SPIDER_PROVENANCE_ANNOTATED_CHASE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "base/cancel.h"
+#include "chase/chase.h"
 #include "mapping/schema_mapping.h"
-#include "query/evaluator.h"
+#include "query/binding.h"
 #include "storage/instance.h"
 
 namespace spider {
@@ -23,7 +20,9 @@ namespace spider {
 /// at the cost of annotating the whole exchange up front and being tied to
 /// this engine — exactly the trade-off the route algorithms avoid.
 ///
-/// Implementing it serves two purposes here:
+/// Here the instrumentation is a ChaseObserver on the one Chase() engine, so
+/// the annotated exchange fires exactly the steps the plain chase fires, in
+/// the same order, with the same null ids. It serves two purposes:
 ///  * it is the baseline for the eager-vs-lazy benchmark
 ///    (bench_eager_vs_lazy): one full annotated exchange vs. k on-demand
 ///    route computations — the crossover is the paper's design argument;
@@ -79,13 +78,11 @@ class AnnotatedChaseLog {
   size_t ProducerStep(ProvFactId id) const { return facts_[id].producer; }
 
   /// True when an egd rewrite collapsed this fact into another one; its
-  /// tuple then equals the survivor's and it is absent from Materialize().
+  /// tuple then equals the survivor's and it is absent from the target.
   bool MergedAway(ProvFactId id) const { return facts_[id].merged_away; }
 
   /// Follows merged_into links to the surviving representative of the fact
-  /// (the id itself when it never merged). The incremental maintainer
-  /// resolves step lhs/rhs ids through this when importing the log as a
-  /// derivation graph.
+  /// (the id itself when it never merged).
   ProvFactId Resolve(ProvFactId id) const {
     while (facts_[id].merged_away) id = facts_[id].merged_into;
     return id;
@@ -95,12 +92,8 @@ class AnnotatedChaseLog {
   std::optional<ProvFactId> Find(RelationId relation,
                                  const Tuple& tuple) const;
 
-  /// All facts, as an Instance over the target schema (equal to the plain
-  /// chase result).
-  std::unique_ptr<Instance> Materialize(const Schema* target_schema) const;
-
  private:
-  friend class AnnotatedChaser;
+  friend class AnnotatedChaseRecorder;
 
   struct Fact {
     RelationId relation;
@@ -117,7 +110,7 @@ class AnnotatedChaseLog {
   std::vector<Event> events_;
 };
 
-enum class AnnotatedChaseOutcome { kSuccess, kEgdFailure, kStepLimit };
+using AnnotatedChaseOutcome = ChaseOutcome;
 
 /// Details of a hard egd failure (two distinct constants equated): the egd,
 /// the violating assignment, and the facts it matched — everything needed
@@ -130,32 +123,20 @@ struct EgdFailure {
   std::vector<AnnotatedChaseLog::ProvFactId> lhs;
 };
 
-struct AnnotatedChaseResult {
-  AnnotatedChaseOutcome outcome = AnnotatedChaseOutcome::kSuccess;
+/// Chase()'s result plus the provenance recorded while it ran.
+struct AnnotatedChaseResult : ChaseResult {
   AnnotatedChaseLog log;
-  std::unique_ptr<Instance> target;
-  int64_t next_null_id = 1;
-  std::string failure_message;
   /// Set when outcome == kEgdFailure.
   std::optional<EgdFailure> failure;
 };
 
-struct AnnotatedChaseOptions {
-  size_t max_steps = 10'000'000;
-  int64_t first_null_id = 1;
-  EvalOptions eval;
-
-  /// Optional cooperative-cancellation token, polled at every chase step.
-  /// When it flips, AnnotatedChase() throws CancelledError; the produced
-  /// target and log are local to the call, so nothing escapes half-built.
-  const CancelToken* cancel = nullptr;
-};
-
-/// Runs the standard chase while recording full provenance. The produced
-/// target instance is identical to Chase()'s for the same inputs.
+/// Runs Chase() while recording full provenance. The produced target, null
+/// ids and outcome are Chase()'s for the same inputs, at any thread count;
+/// cancellation throws CancelledError as Chase() does, and the log is local
+/// to the call, so nothing escapes half-built.
 AnnotatedChaseResult AnnotatedChase(const SchemaMapping& mapping,
                                     const Instance& source,
-                                    const AnnotatedChaseOptions& options = {});
+                                    const ChaseOptions& options = {});
 
 }  // namespace spider
 

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "incremental/delta_chase.h"
 #include "mapping/parser.h"
+#include "provenance/annotated_chase.h"
 #include "routes/one_route.h"
 #include "routes/route_forest.h"
 #include "testing/json_check.h"
@@ -152,8 +154,10 @@ std::vector<FactRef> FirstTargetFacts(const Instance& target, size_t count) {
   return facts;
 }
 
-/// Resets the global registry, runs chase + one-route + all-routes at the
-/// given thread count, and returns the deterministic counters export.
+/// Resets the global registry, runs chase + one-route + all-routes, then the
+/// annotated chase and an incremental maintainer (opening chase plus one
+/// deletion batch) at the given thread count, and returns the deterministic
+/// counters export.
 std::string CountersAfterPipeline(int num_threads) {
   obs::Registry& registry = obs::Registry::Global();
   registry.ResetAll();
@@ -175,6 +179,17 @@ std::string CountersAfterPipeline(int num_threads) {
                   selected, route_options);
   ComputeAllRoutes(*scenario.mapping, *scenario.source, *scenario.target,
                    selected, route_options);
+
+  AnnotatedChase(*scenario.mapping, *scenario.source, chase_options);
+  Instance source(*scenario.source);
+  Instance target(&scenario.mapping->target());
+  IncrementalOptions incremental;
+  incremental.exec.num_threads = num_threads;
+  IncrementalChaser chaser(scenario.mapping.get(), &source, &target,
+                           incremental);
+  SourceDelta delta;
+  delta.Delete(source.schema().relation(0).name(), source.tuple(0, 0));
+  chaser.Apply(delta);
   return registry.CountersJson();
 }
 
@@ -186,6 +201,7 @@ TEST(MetricsTest, CountersJsonByteIdenticalAcrossThreadCounts) {
   std::string base = CountersAfterPipeline(1);
   EXPECT_NE(base.find("\"chase."), std::string::npos) << base;
   EXPECT_NE(base.find("\"routes."), std::string::npos) << base;
+  EXPECT_NE(base.find("\"incremental."), std::string::npos) << base;
   for (int threads : {2, 8}) {
     EXPECT_EQ(CountersAfterPipeline(threads), base) << threads << " threads";
   }

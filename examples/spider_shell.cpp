@@ -18,13 +18,13 @@
 #include <optional>
 #include <sstream>
 
+#include "analysis/analyzer.h"
 #include "chase/chase.h"
 #include "chase/core.h"
 #include "chase/solution_check.h"
 #include "chase/weak_acyclicity.h"
 #include "debugger/debugger.h"
 #include "debugger/dot_export.h"
-#include "debugger/linter.h"
 #include "debugger/mapping_diff.h"
 #include "mapping/parser.h"
 #include "mapping/writer.h"
@@ -221,7 +221,11 @@ class Shell {
       out << WriteScenario(scenario_);
       std::cout << "wrote " << rest << '\n';
     } else if (command == "lint") {
-      std::cout << RenderLintFindings(LintMapping(*scenario_.mapping));
+      // The structural passes only; spider_lint runs the full analyzer.
+      AnalysisOptions lint;
+      lint.termination = lint.subsumption = lint.egd_interaction = false;
+      std::cout << RenderDiagnostics(
+          AnalyzeMapping(*scenario_.mapping, lint).diagnostics);
     } else if (command == "core") {
       CoreResult core = ComputeCore(*scenario_.target);
       std::cout << (core.complete ? "core computed: " : "partial core: ")

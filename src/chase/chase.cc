@@ -1,5 +1,6 @@
 #include "chase/chase.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -106,6 +107,40 @@ std::string EgdFailureMessage(const Egd& egd, const Binding& h) {
          h.Get(egd.right()).ToString();
 }
 
+std::vector<std::vector<Binding>> EnumerateTriggers(
+    std::vector<TriggerQuery> queries, const EvalOptions& eval,
+    const ExecOptions& exec, const CancelToken* cancel, EvalStats* stats) {
+  std::vector<std::vector<Binding>> matches(queries.size());
+  std::vector<EvalStats> query_stats(queries.size());
+  ThreadPool* pool = ThreadPool::For(exec);
+  if (pool != nullptr && eval.use_indexes) {
+    std::vector<const Instance*> warmed;
+    for (const TriggerQuery& q : queries) {
+      if (std::find(warmed.begin(), warmed.end(), q.instance) != warmed.end()) {
+        continue;
+      }
+      q.instance->WarmIndexes();
+      warmed.push_back(q.instance);
+    }
+  }
+  ParallelFor(pool, 0, queries.size(), /*grain=*/1, [&](size_t i) {
+    TriggerQuery& q = queries[i];
+    obs::TraceSpan span("chase", "enumerate_query");
+    span.AddArg("dep", q.dep);
+    if (q.atoms.empty()) {
+      matches[i].push_back(std::move(q.seed));
+      return;
+    }
+    MatchIterator it(*q.instance, std::move(q.atoms), &q.seed, eval,
+                     q.plan_key);
+    while (!Cancelled(cancel) && it.Next()) matches[i].push_back(q.seed);
+    query_stats[i] = it.stats();
+  }, cancel);
+  ThrowIfCancelled(cancel);
+  for (const EvalStats& s : query_stats) *stats += s;
+  return matches;
+}
+
 ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
                   const ChaseOptions& options, ChaseObserver* observer) {
   ChaseResult result;
@@ -133,46 +168,33 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
   if (eval.plan_cache == nullptr) eval.plan_cache = &local_cache;
 
   // Phase 1: s-t tgds. The source is never mutated, so trigger enumeration
-  // is a pure read over I and fans out per dependency on the exec pool,
-  // buffering each dependency's triggers and stats separately. Firing then
-  // runs on this thread in canonical dependency order (including the
-  // standard-chase RHS check, which must see the target as it grows), so
-  // the target instance, null-id assignment, and stats are byte-identical
-  // to the sequential run — which is the very same code with a null pool.
+  // is a pure read over I and fans out per dependency (EnumerateTriggers).
+  // Firing then runs on this thread in canonical dependency order (including
+  // the standard-chase RHS check, which must see the target as it grows),
+  // so the target instance, null-id assignment, and stats are byte-identical
+  // at every thread count.
   const std::vector<TgdId>& st_tgds = mapping.st_tgds();
-  std::vector<std::vector<Binding>> triggers(st_tgds.size());
-  std::vector<ChaseStats> worker_stats(st_tgds.size());
-  ThreadPool* pool = ThreadPool::For(options.exec);
-  if (pool != nullptr && options.eval.use_indexes) {
-    // Lazy index builds mutate shared state; warm them before the fan-out.
-    source.WarmIndexes();
+  std::vector<TriggerQuery> queries;
+  queries.reserve(st_tgds.size());
+  for (TgdId id : st_tgds) {
+    const Tgd& tgd = mapping.tgd(id);
+    queries.push_back(TriggerQuery{
+        id, &source, tgd.lhs(), Binding(tgd.num_vars()),
+        MakePlanKey(PlanKeyFamily::kChaseTrigger, static_cast<uint64_t>(id))});
   }
+  std::vector<std::vector<Binding>> triggers;
   {
     obs::TraceSpan enumerate_span("chase", "st_enumerate");
     enumerate_span.AddArg("dependencies", static_cast<int64_t>(st_tgds.size()));
-    ParallelFor(pool, 0, st_tgds.size(), /*grain=*/1, [&](size_t i) {
-      obs::TraceSpan dep_span("chase", "st_enumerate_dep");
-      dep_span.AddArg("tgd", st_tgds[i]);
-      const Tgd& tgd = mapping.tgd(st_tgds[i]);
-      Binding b(tgd.num_vars());
-      MatchIterator it(
-          source, tgd.lhs(), &b, eval,
-          MakePlanKey(PlanKeyFamily::kChaseTrigger,
-                      static_cast<uint64_t>(st_tgds[i])));
-      while (!Cancelled(options.cancel) && it.Next()) {
-        triggers[i].push_back(b);
-        ++worker_stats[i].st_triggers;
-      }
-      worker_stats[i].eval += it.stats();
-    }, options.cancel);
-    // The per-dependency buffers are abandoned wholesale on cancellation —
-    // nothing was fired yet, so no partial state escapes.
-    ThrowIfCancelled(options.cancel);
+    triggers = EnumerateTriggers(std::move(queries), eval, options.exec,
+                                 options.cancel, &result.stats.eval);
+  }
+  for (const std::vector<Binding>& t : triggers) {
+    result.stats.st_triggers += t.size();
   }
   {
     obs::TraceSpan fire_span("chase", "st_fire");
     for (size_t i = 0; i < st_tgds.size() && !over_limit(); ++i) {
-      result.stats += worker_stats[i];
       const Tgd& tgd = mapping.tgd(st_tgds[i]);
       for (const Binding& b : triggers[i]) {
         ThrowIfCancelled(options.cancel);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/cancel.h"
 #include "exec/exec_options.h"
@@ -124,6 +125,32 @@ EgdUnification ApplyEgdTrigger(const Egd& egd, const Binding& h,
 
 /// "egd 'name' equates distinct constants a and b" for a failing trigger.
 std::string EgdFailureMessage(const Egd& egd, const Binding& h);
+
+/// One query for EnumerateTriggers: the matches of `atoms` over *instance
+/// that extend `seed`. `dep` names the dependency (a TgdId or EgdId, as the
+/// caller interprets it); `plan_key` keys the plan in EvalOptions::plan_cache
+/// and must encode the atoms and which variables `seed` binds.
+struct TriggerQuery {
+  int32_t dep = -1;
+  const Instance* instance = nullptr;
+  std::vector<Atom> atoms;
+  Binding seed;
+  uint64_t plan_key = MatchIterator::kNoPlanKey;
+};
+
+/// The one trigger-enumeration primitive: Chase() enumerates its s-t
+/// triggers through it, and the incremental maintainer every delta-scoped
+/// trigger, egd match and re-fire candidate. Queries fan out over the exec
+/// pool (every instance they read is warmed first: lazy index builds mutate
+/// shared state); each buffers its own matches, so the result — matches[i]
+/// for queries[i], in evaluator order — is identical at every thread count.
+/// A query with no atoms matches once, with its seed. Every iterator's
+/// counters are added to *stats in query order. `cancel` is polled at every
+/// match; once it flips the buffers are abandoned and CancelledError is
+/// thrown. The instances must not be mutated during the call.
+std::vector<std::vector<Binding>> EnumerateTriggers(
+    std::vector<TriggerQuery> queries, const EvalOptions& eval,
+    const ExecOptions& exec, const CancelToken* cancel, EvalStats* stats);
 
 /// Receives every step a chase applies, in application order, on the thread
 /// that called Chase() (enumeration fan-out never calls it). Chase() with no

@@ -1,8 +1,6 @@
 #ifndef SPIDER_EXEC_EXEC_OPTIONS_H_
 #define SPIDER_EXEC_EXEC_OPTIONS_H_
 
-#include <cstddef>
-
 namespace spider {
 
 /// Knobs for the spider::exec work-stealing runtime. Embedded in
@@ -17,10 +15,6 @@ struct ExecOptions {
   /// Results are byte-identical for every value: parallel regions buffer
   /// per-task results and merge them in a canonical order.
   int num_threads = 1;
-
-  /// Minimum number of items a ParallelFor leaf processes before the range
-  /// stops splitting; guards small ranges against scheduling overhead.
-  size_t grain = 1;
 };
 
 /// Maps the ExecOptions convention (0 = hardware concurrency) to a concrete

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "base/cancel.h"
-#include "exec/exec_options.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
 
@@ -54,13 +53,6 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   };
   run(begin, end);
   group.Wait();
-}
-
-/// ParallelFor with the grain taken from `options`; resolves the pool too.
-template <typename F>
-void ParallelFor(const ExecOptions& options, size_t begin, size_t end,
-                 const F& body) {
-  ParallelFor(ThreadPool::For(options), begin, end, options.grain, body);
 }
 
 }  // namespace spider

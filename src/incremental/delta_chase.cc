@@ -6,13 +6,14 @@
 #include <utility>
 
 #include "base/status.h"
-#include "exec/parallel_for.h"
-#include "exec/thread_pool.h"
 #include "obs/trace.h"
 
 namespace spider {
 
 namespace {
+
+/// New target (or source) tuples grouped by relation, in arrival order.
+using DirtyTuples = std::unordered_map<RelationId, std::vector<Tuple>>;
 
 /// Unifies one atom against a concrete tuple. Universal variables (per
 /// `tgd`, or all of them when `tgd` is null — every LHS/egd variable is
@@ -42,6 +43,34 @@ bool UnifyAtomWithTuple(const Atom& atom, const Tuple& tuple, Binding* b,
     }
   }
   return true;
+}
+
+/// Appends the delta-scoped queries of one dependency: for every LHS atom
+/// over a dirty relation and every dirty tuple of it, the remaining atoms
+/// seeded by unifying that atom with the tuple (seeds that fail to unify are
+/// dropped), keyed `family`(dep, atom + 1) — slot 0 is the whole LHS.
+void AddScopedQueries(int32_t dep, const std::vector<Atom>& lhs,
+                      size_t num_vars, const Instance* inst,
+                      PlanKeyFamily family, const DirtyTuples& dirty,
+                      std::vector<TriggerQuery>* out) {
+  for (size_t a = 0; a < lhs.size(); ++a) {
+    auto it = dirty.find(lhs[a].relation);
+    if (it == dirty.end()) continue;
+    for (const Tuple& tuple : it->second) {
+      Binding seed(num_vars);
+      if (!UnifyAtomWithTuple(lhs[a], tuple, &seed, nullptr, nullptr)) {
+        continue;
+      }
+      std::vector<Atom> rest;
+      rest.reserve(lhs.size() - 1);
+      for (size_t j = 0; j < lhs.size(); ++j) {
+        if (j != a) rest.push_back(lhs[j]);
+      }
+      out->push_back(TriggerQuery{
+          dep, inst, std::move(rest), std::move(seed),
+          MakePlanKey(family, static_cast<uint64_t>(dep), a + 1)});
+    }
+  }
 }
 
 /// Adds the scope's wall-clock duration to *sink on destruction.
@@ -98,14 +127,7 @@ void IncrementalStats::PublishDeltaTo(obs::Registry* registry,
   add("rederived", rederived, since.rederived);
   add("refired", refired, since.refired);
   add("full_rechases", full_rechases, since.full_rechases);
-  EvalStats eval_delta;
-  eval_delta.tuples_scanned = eval.tuples_scanned - since.eval.tuples_scanned;
-  eval_delta.index_probes = eval.index_probes - since.eval.index_probes;
-  eval_delta.levels_entered = eval.levels_entered - since.eval.levels_entered;
-  eval_delta.plans_built = eval.plans_built - since.eval.plans_built;
-  eval_delta.plan_cache_hits =
-      eval.plan_cache_hits - since.eval.plan_cache_hits;
-  eval_delta.PublishTo(registry, "incremental.eval.");
+  (eval - since.eval).PublishTo(registry, "incremental.eval.");
   IncrementalPhaseTimes phase_delta;
   phase_delta.delete_apply_ms =
       phases.delete_apply_ms - since.phases.delete_apply_ms;
@@ -303,7 +325,7 @@ ApplyDeltaResult IncrementalChaser::ApplyImpl(const SourceDelta& delta) {
 void IncrementalChaser::InsertBatch(
     const std::vector<std::pair<RelationId, Tuple>>& inserts,
     ApplyDeltaResult* result) {
-  std::unordered_map<RelationId, std::vector<Tuple>> dirty;
+  DirtyTuples dirty;
   {
     PhaseTimer timer(&stats_.phases.insert_apply_ms);
     obs::TraceSpan span("incremental", "insert_apply");
@@ -325,14 +347,13 @@ void IncrementalChaser::InsertBatch(
   {
     PhaseTimer timer(&stats_.phases.trigger_ms);
     obs::TraceSpan span("incremental", "trigger");
-    std::vector<ScopedQuery> queries;
-    queries.reserve(mapping_->st_tgds().size());
+    std::vector<TriggerQuery> queries;
     for (TgdId id : mapping_->st_tgds()) {
       const Tgd& tgd = mapping_->tgd(id);
-      queries.push_back(ScopedQuery{id, &tgd.lhs(), tgd.num_vars()});
+      AddScopedQueries(id, tgd.lhs(), tgd.num_vars(), source_,
+                       PlanKeyFamily::kChaseTrigger, dirty, &queries);
     }
-    EnumerateScoped(*source_, queries, dirty, PlanKeyFamily::kDeltaTrigger,
-                    &cands);
+    cands = Enumerate(std::move(queries));
   }
   std::vector<FactId> frontier;
   {
@@ -466,8 +487,29 @@ void IncrementalChaser::DeleteBatch(
     PhaseTimer timer(&stats_.phases.refire_ms);
     obs::TraceSpan span("incremental", "refire");
     std::sort(deleted_keys.begin(), deleted_keys.end());
-    std::vector<Candidate> cands;
-    EnumerateRefireCandidates(deleted_keys, &cands);
+    std::vector<TriggerQuery> queries;
+    for (const FactKey& fact : deleted_keys) {
+      for (TgdId id = 0; id < static_cast<TgdId>(mapping_->NumTgds()); ++id) {
+        const Tgd& tgd = mapping_->tgd(id);
+        for (size_t q = 0; q < tgd.rhs().size(); ++q) {
+          if (tgd.rhs()[q].relation != fact.relation) continue;
+          Binding seed(tgd.num_vars());
+          std::unordered_map<VarId, Value> existential;
+          if (!UnifyAtomWithTuple(tgd.rhs()[q], fact.tuple, &seed, &tgd,
+                                  &existential)) {
+            continue;
+          }
+          // The LHS with RHS atom q's universal variables bound: findHom's
+          // query shape, so it shares findHom's plan key.
+          queries.push_back(TriggerQuery{
+              id, tgd.source_to_target() ? source_ : target_, tgd.lhs(),
+              std::move(seed),
+              MakePlanKey(PlanKeyFamily::kFindHomLhs,
+                          static_cast<uint64_t>(id), q)});
+        }
+      }
+    }
+    std::vector<Candidate> cands = Enumerate(std::move(queries));
     size_t fired_before = stats_.st_steps + stats_.target_steps;
     frontier = FireCandidates(cands, result);
     stats_.refired += stats_.st_steps + stats_.target_steps - fired_before;
@@ -475,120 +517,34 @@ void IncrementalChaser::DeleteBatch(
   PropagateFixpoint(std::move(frontier), result);
 }
 
-size_t IncrementalChaser::EnumerateScoped(
-    const Instance& inst, const std::vector<ScopedQuery>& queries,
-    const std::unordered_map<RelationId, std::vector<Tuple>>& dirty,
-    PlanKeyFamily family, std::vector<Candidate>* out) {
-  struct Item {
-    size_t query;
-    size_t atom;
-    const Tuple* tuple;
-  };
-  std::vector<Item> items;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const std::vector<Atom>& atoms = *queries[q].lhs;
-    for (size_t a = 0; a < atoms.size(); ++a) {
-      auto it = dirty.find(atoms[a].relation);
-      if (it == dirty.end()) continue;
-      for (const Tuple& tuple : it->second) items.push_back({q, a, &tuple});
+std::vector<IncrementalChaser::Candidate> IncrementalChaser::Enumerate(
+    std::vector<TriggerQuery> queries) {
+  std::vector<int32_t> deps;
+  deps.reserve(queries.size());
+  for (const TriggerQuery& q : queries) deps.push_back(q.dep);
+  std::vector<std::vector<Binding>> matches =
+      EnumerateTriggers(std::move(queries), options_.eval, options_.exec,
+                        options_.cancel, &stats_.eval);
+  std::vector<Candidate> cands;
+  for (size_t i = 0; i < matches.size(); ++i) {
+    for (Binding& b : matches[i]) {
+      cands.push_back(Candidate{deps[i], std::move(b)});
     }
   }
-  if (items.empty()) return 0;
-
-  std::vector<std::vector<Binding>> buffers(items.size());
-  std::vector<EvalStats> item_stats(items.size());
-  ThreadPool* pool = ThreadPool::For(options_.exec);
-  if (pool != nullptr && options_.eval.use_indexes) inst.WarmIndexes();
-  ParallelFor(pool, 0, items.size(), options_.exec.grain, [&](size_t i) {
-    const Item& item = items[i];
-    const ScopedQuery& query = queries[item.query];
-    const std::vector<Atom>& atoms = *query.lhs;
-    Binding b(query.num_vars);
-    if (!UnifyAtomWithTuple(atoms[item.atom], *item.tuple, &b, nullptr,
-                            nullptr)) {
-      return;
-    }
-    std::vector<Atom> rest;
-    rest.reserve(atoms.size() - 1);
-    for (size_t j = 0; j < atoms.size(); ++j) {
-      if (j != item.atom) rest.push_back(atoms[j]);
-    }
-    if (rest.empty()) {
-      buffers[i].push_back(std::move(b));
-      return;
-    }
-    MatchIterator mi(inst, std::move(rest), &b, options_.eval,
-                     MakePlanKey(family, static_cast<uint64_t>(query.dep),
-                                 item.atom));
-    while (mi.Next()) buffers[i].push_back(b);
-    item_stats[i] += mi.stats();
-  });
-
-  size_t produced = 0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    stats_.eval += item_stats[i];
-    for (Binding& b : buffers[i]) {
-      out->push_back(Candidate{queries[items[i].query].dep, std::move(b)});
-      ++produced;
-    }
-  }
-  stats_.triggers_enumerated += produced;
-  return produced;
+  stats_.triggers_enumerated += cands.size();
+  return cands;
 }
 
-void IncrementalChaser::EnumerateRefireCandidates(
-    const std::vector<FactKey>& deleted, std::vector<Candidate>* out) {
-  struct Item {
-    size_t fact;
-    TgdId tgd;
-    size_t atom;
-  };
-  std::vector<Item> items;
-  for (size_t f = 0; f < deleted.size(); ++f) {
-    for (TgdId id = 0; id < static_cast<TgdId>(mapping_->NumTgds()); ++id) {
-      const Tgd& tgd = mapping_->tgd(id);
-      for (size_t q = 0; q < tgd.rhs().size(); ++q) {
-        if (tgd.rhs()[q].relation == deleted[f].relation) {
-          items.push_back({f, id, q});
-        }
-      }
-    }
+DirtyTuples IncrementalChaser::DirtyTargets(
+    const std::vector<FactId>& frontier) const {
+  DirtyTuples dirty;
+  std::unordered_set<FactId> grouped;
+  for (FactId f : frontier) {
+    if (!facts_[f].alive || facts_[f].key.side != Side::kTarget) continue;
+    if (!grouped.insert(f).second) continue;
+    dirty[facts_[f].key.relation].push_back(facts_[f].key.tuple);
   }
-  if (items.empty()) return;
-
-  std::vector<std::vector<Binding>> buffers(items.size());
-  std::vector<EvalStats> item_stats(items.size());
-  ThreadPool* pool = ThreadPool::For(options_.exec);
-  if (pool != nullptr && options_.eval.use_indexes) {
-    source_->WarmIndexes();
-    target_->WarmIndexes();
-  }
-  ParallelFor(pool, 0, items.size(), options_.exec.grain, [&](size_t i) {
-    const Item& item = items[i];
-    const Tgd& tgd = mapping_->tgd(item.tgd);
-    Binding b(tgd.num_vars());
-    std::unordered_map<VarId, Value> existential;
-    if (!UnifyAtomWithTuple(tgd.rhs()[item.atom], deleted[item.fact].tuple,
-                            &b, &tgd, &existential)) {
-      return;
-    }
-    const Instance& inst = tgd.source_to_target() ? *source_ : *target_;
-    MatchIterator mi(inst, tgd.lhs(), &b, options_.eval,
-                     MakePlanKey(PlanKeyFamily::kDeltaRefire,
-                                 static_cast<uint64_t>(item.tgd), item.atom));
-    while (mi.Next()) buffers[i].push_back(b);
-    item_stats[i] += mi.stats();
-  });
-
-  size_t produced = 0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    stats_.eval += item_stats[i];
-    for (Binding& b : buffers[i]) {
-      out->push_back(Candidate{items[i].tgd, std::move(b)});
-      ++produced;
-    }
-  }
-  stats_.triggers_enumerated += produced;
+  return dirty;
 }
 
 std::vector<IncrementalChaser::FactId> IncrementalChaser::FireCandidates(
@@ -649,25 +605,17 @@ void IncrementalChaser::PropagateFixpoint(std::vector<FactId> frontier,
   // The incoming frontier (st insertions, re-fired facts) has not been
   // egd-checked yet.
   EgdFixpoint(&frontier, result);
-  std::vector<ScopedQuery> queries;
-  queries.reserve(mapping_->target_tgds().size());
-  for (TgdId id : mapping_->target_tgds()) {
-    const Tgd& tgd = mapping_->tgd(id);
-    queries.push_back(ScopedQuery{id, &tgd.lhs(), tgd.num_vars()});
-  }
   while (true) {
-    std::unordered_map<RelationId, std::vector<Tuple>> dirty;
-    std::unordered_set<FactId> grouped;
-    for (FactId f : frontier) {
-      if (!facts_[f].alive || facts_[f].key.side != Side::kTarget) continue;
-      if (!grouped.insert(f).second) continue;
-      dirty[facts_[f].key.relation].push_back(facts_[f].key.tuple);
-    }
+    DirtyTuples dirty = DirtyTargets(frontier);
     if (dirty.empty()) return;
-    std::vector<Candidate> cands;
-    EnumerateScoped(*target_, queries, dirty, PlanKeyFamily::kDeltaTrigger,
-                    &cands);
-    std::vector<FactId> created = FireCandidates(cands, result);
+    std::vector<TriggerQuery> queries;
+    for (TgdId id : mapping_->target_tgds()) {
+      const Tgd& tgd = mapping_->tgd(id);
+      AddScopedQueries(id, tgd.lhs(), tgd.num_vars(), target_,
+                       PlanKeyFamily::kChaseTrigger, dirty, &queries);
+    }
+    std::vector<FactId> created =
+        FireCandidates(Enumerate(std::move(queries)), result);
     if (created.empty()) return;
     EgdFixpoint(&created, result);
     frontier = std::move(created);
@@ -677,13 +625,6 @@ void IncrementalChaser::PropagateFixpoint(std::vector<FactId> frontier,
 void IncrementalChaser::EgdFixpoint(std::vector<FactId>* frontier,
                                     ApplyDeltaResult* result) {
   if (mapping_->NumEgds() == 0) return;
-  std::vector<ScopedQuery> queries;
-  queries.reserve(mapping_->NumEgds());
-  for (size_t e = 0; e < mapping_->NumEgds(); ++e) {
-    const Egd& egd = mapping_->egd(static_cast<EgdId>(e));
-    queries.push_back(ScopedQuery{static_cast<int32_t>(e), &egd.lhs(),
-                                  egd.num_vars()});
-  }
   // A substitution invalidates every outstanding candidate binding, so the
   // scan restarts from a fresh enumeration after each one (the scope only
   // grows: rewritten facts join the frontier). Terminates because every
@@ -691,18 +632,15 @@ void IncrementalChaser::EgdFixpoint(std::vector<FactId>* frontier,
   bool clean = false;
   while (!clean) {
     clean = true;
-    std::unordered_map<RelationId, std::vector<Tuple>> dirty;
-    std::unordered_set<FactId> grouped;
-    for (FactId f : *frontier) {
-      if (!facts_[f].alive || facts_[f].key.side != Side::kTarget) continue;
-      if (!grouped.insert(f).second) continue;
-      dirty[facts_[f].key.relation].push_back(facts_[f].key.tuple);
-    }
+    DirtyTuples dirty = DirtyTargets(*frontier);
     if (dirty.empty()) return;
-    std::vector<Candidate> cands;
-    EnumerateScoped(*target_, queries, dirty, PlanKeyFamily::kDeltaEgd,
-                    &cands);
-    for (const Candidate& c : cands) {
+    std::vector<TriggerQuery> queries;
+    for (EgdId e = 0; e < static_cast<EgdId>(mapping_->NumEgds()); ++e) {
+      const Egd& egd = mapping_->egd(e);
+      AddScopedQueries(e, egd.lhs(), egd.num_vars(), target_,
+                       PlanKeyFamily::kChaseEgd, dirty, &queries);
+    }
+    for (const Candidate& c : Enumerate(std::move(queries))) {
       BumpSteps();
       const Egd& egd = mapping_->egd(c.dep);
       EgdUnification u = ApplyEgdTrigger(egd, c.b, target_);

@@ -20,12 +20,13 @@ namespace spider {
 /// ChaseOptions for the opening chase and every batch. `max_steps` bounds
 /// each Apply() separately; `first_null_id` seeds the opening chase (later
 /// batches continue from wherever the previous one stopped); `exec` also
-/// fans out the delta-scoped enumeration, which like the chase buffers per
-/// task and fires in canonical order, so results are byte-identical at every
-/// thread count. `cancel` is observed ONLY during the opening chase in the
-/// constructor (where aborting just discards the half-built chaser): Apply()
-/// batches mutate the instances in place and must run to completion, so the
-/// chaser drops the token after construction.
+/// fans out every delta-scoped enumeration through the chase's
+/// EnumerateTriggers, and firing stays in canonical order, so results are
+/// byte-identical at every thread count. `cancel` is observed ONLY during the
+/// opening chase in the constructor (where aborting just discards the
+/// half-built chaser): Apply() batches mutate the instances in place and
+/// must run to completion, so the chaser drops the token after
+/// construction.
 struct IncrementalOptions : ChaseOptions {
   /// Escape hatch: treat every batch as entangled and re-chase from scratch
   /// (still through this class, so callers keep the same interface and
@@ -102,17 +103,18 @@ struct ApplyDeltaResult {
 /// as the ChaseObserver, so the derivation graph is recorded step by step
 /// as the chase fires. Each Apply(delta) then:
 ///   * insertions — semi-naive trigger enumeration scoped to the delta:
-///     one LHS atom is bound to a new fact, the remaining atoms are matched
-///     with the regular spider::query machinery (plan-cached under the
-///     kDelta* key families), fanning out over spider::exec; triggers fire
-///     through the chase's own FireTgdTrigger/ApplyEgdTrigger and are
-///     recorded by the same callbacks as the opening chase; new facts
-///     propagate through target tgds and egds the same way;
+///     one LHS atom is bound to a new fact and the remaining atoms form a
+///     seeded query for the chase's EnumerateTriggers (plan-cached under the
+///     chase's kChaseTrigger/kChaseEgd keys, atom slot = seeded atom + 1);
+///     triggers fire through the chase's own FireTgdTrigger/ApplyEgdTrigger
+///     and are recorded by the same callbacks as the opening chase; new
+///     facts propagate through target tgds and egds the same way;
 ///   * deletions — DRed over the derivation graph: an over-delete cascade
 ///     condemns everything reachable from the deleted facts, a least-
 ///     fixpoint pass revives facts still derivable from surviving recorded
 ///     steps, and a backward re-fire pass re-runs triggers whose standard-
-///     chase RHS check had been satisfied only through deleted facts.
+///     chase RHS check had been satisfied only through deleted facts (its
+///     queries go through EnumerateTriggers too, keyed like findHom's LHS).
 ///
 /// Egd entanglement: once any egd unification has fired (initially or
 /// incrementally), recorded derivations no longer correspond literally to
@@ -219,30 +221,14 @@ class IncrementalChaser : private ChaseObserver {
   void DeleteBatch(const std::vector<std::pair<RelationId, Tuple>>& deletes,
                    ApplyDeltaResult* result);
 
-  /// One dependency LHS offered to the scoped enumerator (tgd or egd —
-  /// `dep` is interpreted by the caller, the families keep plan keys apart).
-  struct ScopedQuery {
-    int32_t dep = -1;
-    const std::vector<Atom>* lhs = nullptr;
-    size_t num_vars = 0;
-  };
+  /// Runs `queries` through EnumerateTriggers and flattens their matches
+  /// into candidates, in query order.
+  std::vector<Candidate> Enumerate(std::vector<TriggerQuery> queries);
 
-  /// Delta-scoped trigger enumeration: for every query, every LHS atom
-  /// position over a dirty relation and every dirty tuple of it, seed the
-  /// binding by unifying that atom with the tuple and enumerate the
-  /// remaining LHS atoms over `inst`. Items fan out over the exec pool into
-  /// per-item buffers and are merged in item order, so the candidate
-  /// sequence is thread-count independent. Appends to `out` and returns the
-  /// number of candidates.
-  size_t EnumerateScoped(
-      const Instance& inst, const std::vector<ScopedQuery>& queries,
-      const std::unordered_map<RelationId, std::vector<Tuple>>& dirty,
-      PlanKeyFamily family, std::vector<Candidate>* out);
-
-  /// Backward re-fire enumeration: unify each tgd RHS atom against each
-  /// deleted fact, then enumerate the full LHS over the live instances.
-  void EnumerateRefireCandidates(const std::vector<FactKey>& deleted,
-                                 std::vector<Candidate>* out);
+  /// The live target facts of `frontier` grouped by relation, each once, in
+  /// frontier order: the scope of the next delta-scoped enumeration.
+  std::unordered_map<RelationId, std::vector<Tuple>> DirtyTargets(
+      const std::vector<FactId>& frontier) const;
 
   /// Dedups candidates (per dependency) and fires those whose RHS is not
   /// already satisfied (through FireTgdTrigger); returns the created facts.

@@ -38,7 +38,7 @@ struct CostModel {
   /// The process-wide default (the committed table above).
   static const CostModel& Default();
 
-  /// Mixes kVersion and every constant into one value for plan-cache keys.
+  /// Mixes kVersion and every constant into one value identifying the table.
   uint64_t Fingerprint() const;
 
   friend bool operator==(const CostModel&, const CostModel&) = default;
@@ -114,10 +114,10 @@ struct AtomEstimate {
 /// CostModel whose constants are the measured ratios, clamped to [1, 64].
 ///
 /// Calibration reads a clock, so its results are machine-dependent; the
-/// engines default to CostModel::Default() (the committed table) to keep
-/// plans — and therefore match order, stats, and every golden — identical
-/// across hosts. Callers that want hardware-true constants (bench_planner's
-/// report, a tuning pass at service startup) opt in explicitly.
+/// planner always prices with CostModel::Default() (the committed table) to
+/// keep plans — and therefore match order, stats, and every golden —
+/// identical across hosts. Calibrated constants are reported (bench_planner)
+/// but never planned with.
 struct CalibrationResult {
   CostModel model;
   double scan_ns = 0;    ///< measured per-row scan+test cost

@@ -36,6 +36,19 @@ struct EvalStats {
     return *this;
   }
 
+  /// The work done since the `since` snapshot of the same accumulator
+  /// (every counter of `now` is at least its counterpart in `since`).
+  friend EvalStats operator-(const EvalStats& now, const EvalStats& since) {
+    EvalStats d;
+    d.tuples_scanned = now.tuples_scanned - since.tuples_scanned;
+    d.index_probes = now.index_probes - since.index_probes;
+    d.point_lookups = now.point_lookups - since.point_lookups;
+    d.levels_entered = now.levels_entered - since.levels_entered;
+    d.plans_built = now.plans_built - since.plans_built;
+    d.plan_cache_hits = now.plan_cache_hits - since.plan_cache_hits;
+    return d;
+  }
+
   /// Adds these counters to the registry under `prefix` (e.g.
   /// "chase.eval."). The struct stays the hot-path accumulator — the
   /// registry is the uniform export surface engines publish merged,

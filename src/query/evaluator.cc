@@ -43,9 +43,6 @@ MatchIterator::MatchIterator(const Instance& instance, std::vector<Atom> atoms,
       }
     }
   }
-  if (options_.cost_model == nullptr) {
-    options_.cost_model = &CostModel::Default();
-  }
   PlanOrder(std::move(atoms), plan_key);
 }
 
@@ -53,13 +50,12 @@ void MatchIterator::PlanOrder(std::vector<Atom> atoms, uint64_t plan_key) {
   if (options_.plan_cache != nullptr && plan_key != kNoPlanKey) {
     // Mix everything the plan depends on besides the caller's key into the
     // effective cache key: two iterators sharing a caller key but planned
-    // under different options or cost-model constants must never alias.
-    // (ExecMode is deliberately absent — both exec modes run the same plan.)
-    uint64_t effective = HashCombine(plan_key, options_.cost_model->Fingerprint());
+    // under different options must never alias. (ExecMode is deliberately
+    // absent — both exec modes run the same plan.)
     uint64_t option_bits = (options_.use_indexes ? 1u : 0u) |
                            (options_.reorder_atoms ? 2u : 0u) |
                            (static_cast<uint64_t>(options_.planner) << 2);
-    effective = HashCombine(effective, option_bits);
+    uint64_t effective = HashCombine(plan_key, option_bits);
     plan_ = options_.plan_cache->Get(
         effective, instance_, [&] { return ComputePlan(atoms); }, &stats_);
   } else {
@@ -151,7 +147,7 @@ QueryPlan MatchIterator::ComputePlan(const std::vector<Atom>& atoms) const {
           // bound-count criteria, then original atom position): exact on
           // every platform, no float summation-order sensitivity.
           AtomEstimate est = EstimateAtom(atoms[i], var_bound);
-          uint64_t cost = est.CostUnits(*options_.cost_model);
+          uint64_t cost = est.CostUnits(CostModel::Default());
           if (best < 0 || cost < best_cost ||
               (cost == best_cost &&
                (est.out_card < best_out ||
@@ -257,7 +253,7 @@ LevelPlan MatchIterator::PlanLevel(const Atom& atom,
                      return a.col < b.col;
                    });
   // Tiny relation: scanning everything outright beats even one probe.
-  const CostModel& model = *options_.cost_model;
+  const CostModel& model = CostModel::Default();
   if (n * model.scan_cost <=
       model.probe_cost + lp.probes[0].expected_rows * model.scan_cost) {
     lp.scan_instead = true;
@@ -319,7 +315,7 @@ AtomEstimate MatchIterator::EstimateAtom(
     }
   }
   // Access path, mirroring PlanLevel's scan_instead rule.
-  const CostModel& model = *options_.cost_model;
+  const CostModel& model = CostModel::Default();
   if (!have_probe ||
       n * model.scan_cost <=
           model.probe_cost + best_expected * model.scan_cost) {
@@ -415,7 +411,7 @@ void MatchIterator::EnterLevel(size_t depth) {
   // candidate scans than the next probe costs. Posting lists are ascending
   // by row id, so the choice changes how many candidates get scanned but
   // not the order matches are produced in.
-  const CostModel& model = *options_.cost_model;
+  const CostModel& model = CostModel::Default();
   const std::vector<int32_t>* best = nullptr;
   for (size_t k = 0; k < lp.probes.size(); ++k) {
     if (best != nullptr) {

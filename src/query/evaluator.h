@@ -64,12 +64,6 @@ struct EvalOptions {
   /// plan-cache entries are shared across exec modes.
   ExecMode exec = ExecMode::kBatch;
 
-  /// Cost table for kSelectivity planning. Null means CostModel::Default()
-  /// (the committed table) — the choice every engine makes, keeping plans
-  /// identical across hosts. The model's fingerprint is part of the
-  /// effective plan-cache key.
-  const CostModel* cost_model = nullptr;
-
   /// Optional cross-iterator plan memo (owned by the driver — chase, route
   /// forest, one-route). Only engaged for MatchIterators constructed with a
   /// non-zero plan key; see PlanCache for the key contract.

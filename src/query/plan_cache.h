@@ -19,25 +19,18 @@ class Instance;
 
 /// Disjoint key families for plan-cache keys. Each caller that shares a
 /// PlanCache picks keys from its own family so two query shapes never
-/// collide: findHom's LHS/RHS selections (per tgd and probed-atom index),
-/// the chase's trigger enumeration and RHS containment check (per tgd), and
-/// the egd chase's LHS enumeration (per egd).
+/// collide: findHom's LHS/RHS selections (per tgd and probed-atom index; the
+/// incremental re-fire pass asks findHom's LHS query too), the chase's
+/// trigger enumeration and RHS containment check (per tgd), and the egd
+/// chase's LHS enumeration (per egd). In the two trigger families atom slot
+/// 0 is the whole LHS and slot a + 1 the LHS minus atom a, with a's
+/// variables bound (the incremental maintainer's delta-scoped queries).
 enum class PlanKeyFamily : uint64_t {
   kFindHomLhs = 1,
   kFindHomRhs = 2,
   kChaseTrigger = 3,
   kChaseRhsCheck = 4,
   kChaseEgd = 5,
-  /// spider::incremental — semi-naive trigger enumeration scoped to one
-  /// delta-bound LHS atom (the key's `atom` slot is the bound atom index;
-  /// the remaining atoms form the planned conjunction).
-  kDeltaTrigger = 6,
-  /// spider::incremental — backward re-fire matching: LHS enumeration after
-  /// binding one RHS atom against a deleted fact.
-  kDeltaRefire = 7,
-  /// spider::incremental — egd LHS enumeration scoped to one dirty-bound
-  /// atom.
-  kDeltaEgd = 8,
 };
 
 /// Packs (family, dependency id, atom index) into a nonzero cache key.
@@ -60,11 +53,10 @@ constexpr uint64_t MakePlanKey(PlanKeyFamily family, uint64_t dep,
 /// depends on besides the instance and the evaluation options: the atom list
 /// and the bound-variable signature (for findHom: tgd id, side, and RHS atom
 /// index — the set of v1-bound variables is a function of those). The
-/// evaluator mixes its own option fingerprint — planner mode, index use,
-/// reordering, and the cost model's version + constants — into the effective
-/// key before calling Get, so two iterators sharing a caller key but planned
-/// under different options or cost tables can never alias each other's
-/// entries. Entries are additionally
+/// evaluator mixes its own option fingerprint — planner mode, index use and
+/// reordering — into the effective key before calling Get, so two iterators
+/// sharing a caller key but planned under different options can never alias
+/// each other's entries. Entries are additionally
 /// keyed by the instance pointer and record its version, so a plan computed
 /// against a target that has since been chased further is transparently
 /// re-planned — and several sessions debugging *different* scenarios can

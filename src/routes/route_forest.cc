@@ -114,7 +114,7 @@ void RouteForest::ExpandAll() {
     wave_span.AddArg("frontier", static_cast<int64_t>(frontier.size()));
     std::vector<std::vector<Branch>> branches(frontier.size());
     std::vector<RouteStats> worker_stats(frontier.size());
-    ParallelFor(pool, 0, frontier.size(), options_.exec.grain, [&](size_t i) {
+    ParallelFor(pool, 0, frontier.size(), /*grain=*/1, [&](size_t i) {
       obs::TraceSpan node_span("routes", "expand_node");
       try {
         branches[i] = ComputeBranches(frontier[i], &worker_stats[i]);

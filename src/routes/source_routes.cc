@@ -194,7 +194,7 @@ ConsequenceForest ComputeSourceConsequences(
     source.WarmIndexes();
     target.WarmIndexes();
   }
-  ParallelFor(pool, 0, num_pairs, options.route.exec.grain, [&](size_t p) {
+  ParallelFor(pool, 0, num_pairs, /*grain=*/1, [&](size_t p) {
     const FactRef& fact = selected[p / st_tgds.size()];
     TgdId tgd = st_tgds[p % st_tgds.size()];
     explore(tgd, fact, source, [&](const Binding& h) {

@@ -8,7 +8,6 @@
 #include "base/hash.h"
 #include "chase/core.h"
 #include "base/status.h"
-#include "debugger/linter.h"
 #include "incremental/source_delta.h"
 #include "mapping/parser.h"
 #include "workload/random_scenario.h"
@@ -358,11 +357,16 @@ Response SessionManager::HandleSession(const Request& request,
                           session.debugger().Render(
                               session.ForestFor(request.text),
                               options_.max_reply_bytes));
-      case MsgType::kLint:
+      case MsgType::kLint: {
+        // The structural passes only: shape and coverage.
+        AnalysisOptions lint;
+        lint.termination = lint.subsumption = lint.egd_interaction = false;
+        lint.cancel = cancel;
         return OkResponse(
             request.request_id,
-            RenderLintFindings(
-                LintMapping(*session.scenario().mapping)));
+            RenderDiagnostics(
+                AnalyzeMapping(*session.scenario().mapping, lint).diagnostics));
+      }
       case MsgType::kAnalyze:
         return HandleAnalyze(request, session, cancel);
       default:

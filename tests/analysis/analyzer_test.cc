@@ -56,6 +56,17 @@ TEST(AnalyzerTest, Scenario1DroppedVariableAndRepeatWithSpans) {
   EXPECT_NE(repeated[0].message.find("'m'"), std::string::npos);
   // Anchored to the RHS atom with the duplicate: Clients(...) on line 7.
   EXPECT_EQ(repeated[0].span, (SourceSpan{7, 37, 7, 57}));
+
+  // Repeating an EXISTENTIAL variable asserts equality of two unknowns —
+  // unusual, but not Scenario 1's bug: only universal repeats are flagged.
+  Scenario existential = ParseScenario(R"(
+    source schema { R(a); }
+    target schema { T(a, b, c); }
+    m: R(x) -> exists Y . T(x, Y, Y);
+  )");
+  EXPECT_TRUE(AnalyzeMapping(*existential.mapping)
+                  .Matching("shape", "repeated-variable")
+                  .empty());
 }
 
 // Scenario 2: m3 joins FBAccounts with CreditCards without a join condition.
@@ -79,6 +90,18 @@ TEST(AnalyzerTest, Scenario2MissingJoinWithSpan) {
   EXPECT_EQ(s.mapping->tgd(cartesian[0].tgd).name(), "m3");
   // The whole dependency, m3's name through the closing ';'.
   EXPECT_EQ(cartesian[0].span, (SourceSpan{9, 1, 10, 59}));
+
+  // Target tgds are checked too.
+  Scenario target_tgd = ParseScenario(R"(
+    source schema { R(a); }
+    target schema { T(a); U(a); V(a); }
+    m: R(x) -> T(x);
+    t: T(x) & U(y) -> V(x);
+  )");
+  cartesian = AnalyzeMapping(*target_tgd.mapping)
+                  .Matching("shape", "disconnected-lhs");
+  ASSERT_EQ(cartesian.size(), 1u);
+  EXPECT_EQ(target_tgd.mapping->tgd(cartesian[0].tgd).name(), "t");
 }
 
 // Scenario 3: Accounts.accNo is only ever filled by m5's existential.
@@ -100,6 +123,18 @@ TEST(AnalyzerTest, Scenario3NullOnlyPositionWithSpan) {
             "invented nulls (no tgd supplies a value)");
   EXPECT_EQ(null_only[0].span, (SourceSpan{4, 30, 4, 44}));
   EXPECT_EQ(s.mapping->tgd(null_only[0].tgd).name(), "m5");
+
+  // A position one tgd fills with an existential is not null-only when
+  // another tgd grounds it.
+  Scenario grounded = ParseScenario(R"(
+    source schema { R(a, b); }
+    target schema { T(a, b); }
+    m1: R(x, y) -> exists Z . T(x, Z);
+    m2: R(x, y) -> T(x, y);
+  )");
+  EXPECT_TRUE(AnalyzeMapping(*grounded.mapping)
+                  .Matching("coverage", "null-only-position")
+                  .empty());
 }
 
 TEST(AnalyzerTest, TransitiveNullOnlyUsesTransitiveWording) {
@@ -133,6 +168,25 @@ TEST(AnalyzerTest, CleanMappingHasNoDiagnostics) {
   AnalysisReport report = AnalyzeMapping(*s.mapping);
   EXPECT_TRUE(report.diagnostics.empty())
       << RenderDiagnostics(report.diagnostics);
+
+  // The same mapping plus a source relation no s-t tgd reads and a target
+  // relation no tgd writes: exactly those two findings.
+  Scenario unused = ParseScenario(R"(
+    source schema { Emp(id, name); Dead(a); }
+    target schema { Person(id, name); Empty(a); }
+    m: Emp(x, n) -> Person(x, n);
+  )");
+  report = AnalyzeMapping(*unused.mapping);
+  ASSERT_EQ(report.diagnostics.size(), 2u)
+      << RenderDiagnostics(report.diagnostics);
+  std::vector<Diagnostic> dead =
+      report.Matching("shape", "unused-source-relation");
+  ASSERT_EQ(dead.size(), 1u);
+  EXPECT_NE(dead[0].message.find("'Dead'"), std::string::npos);
+  std::vector<Diagnostic> empty =
+      report.Matching("shape", "unpopulated-target-relation");
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_NE(empty[0].message.find("'Empty'"), std::string::npos);
 }
 
 TEST(AnalyzerTest, SubsumedTgdReported) {

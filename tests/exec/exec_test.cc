@@ -230,7 +230,6 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
     for (size_t grain : {1u, 7u, 64u, 10000u}) {
       ExecOptions options;
       options.num_threads = threads;
-      options.grain = grain;
       std::vector<std::atomic<int>> hits(1237);
       ParallelFor(ThreadPool::For(options), 0, hits.size(), grain,
                   [&](size_t i) { hits[i].fetch_add(1); });

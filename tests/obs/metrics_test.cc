@@ -15,6 +15,7 @@
 #include "provenance/annotated_chase.h"
 #include "routes/one_route.h"
 #include "routes/route_forest.h"
+#include "testing/fixtures.h"
 #include "testing/json_check.h"
 #include "workload/relational_scenario.h"
 
@@ -139,6 +140,67 @@ TEST(MetricsTest, EnabledSwitchGatesEnginePublication) {
   ChaseResult loud = Chase(*scenario.mapping, *scenario.source);
   ASSERT_EQ(loud.outcome, ChaseOutcome::kSuccess);
   EXPECT_EQ(registry.GetCounter("chase.st_steps")->value(), 2u);
+}
+
+// IncrementalStats::PublishDeltaTo promises that registry totals equal the
+// struct totals: after an insertion and a deletion batch every
+// "incremental.*" counter, the eval counters included, matches its field.
+TEST(MetricsTest, IncrementalCountersEqualStructTotals) {
+  obs::SetMetricsEnabled(true);
+  obs::Registry& registry = obs::Registry::Global();
+  registry.ResetAll();
+  // Full tgds only, so every RHS containment check is fully bound and takes
+  // the point-lookup path.
+  Scenario scenario = ParseScenario(testing::TransitiveClosureText());
+  Instance target(&scenario.mapping->target());
+  IncrementalChaser chaser(scenario.mapping.get(), scenario.source.get(),
+                           &target);
+  SourceDelta insert;
+  insert.Insert("S", Tuple({Value::Int(3), Value::Int(4)}));
+  chaser.Apply(insert);
+  SourceDelta remove;
+  remove.Delete("S", Tuple({Value::Int(1), Value::Int(2)}));
+  chaser.Apply(remove);
+
+  const IncrementalStats& stats = chaser.stats();
+  EXPECT_GT(stats.eval.point_lookups, 0u);
+  const std::vector<std::pair<std::string, uint64_t>> fields = {
+      {"batches", stats.batches},
+      {"source_inserted", stats.source_inserted},
+      {"source_deleted", stats.source_deleted},
+      {"st_steps", stats.st_steps},
+      {"target_steps", stats.target_steps},
+      {"egd_steps", stats.egd_steps},
+      {"triggers_enumerated", stats.triggers_enumerated},
+      {"overdeleted", stats.overdeleted},
+      {"rederived", stats.rederived},
+      {"refired", stats.refired},
+      {"full_rechases", stats.full_rechases},
+      {"eval.tuples_scanned", stats.eval.tuples_scanned},
+      {"eval.index_probes", stats.eval.index_probes},
+      {"eval.point_lookups", stats.eval.point_lookups},
+      {"eval.levels_entered", stats.eval.levels_entered},
+      {"eval.plans_built", stats.eval.plans_built},
+      {"eval.plan_cache_hits", stats.eval.plan_cache_hits},
+  };
+  for (const auto& [field, value] : fields) {
+    EXPECT_EQ(registry.GetCounter("incremental." + field)->value(), value)
+        << field;
+  }
+  // And no incremental counter is published that the struct lacks.
+  testing::JsonReader reader(registry.CountersJson());
+  auto doc = reader.Parse();
+  ASSERT_NE(doc, nullptr) << reader.error();
+  const testing::JsonValue* counters = doc->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const auto& [name, value] : counters->members) {
+    if (name.rfind("incremental.", 0) != 0) continue;
+    bool known = false;
+    for (const auto& [field, expected] : fields) {
+      if (name == "incremental." + field) known = true;
+    }
+    EXPECT_TRUE(known) << name;
+  }
 }
 
 /// The first `count` target facts in relation-major order.

@@ -63,6 +63,42 @@ TEST(SessionManagerTest, CreateProbeApplyCloseLifecycle) {
   EXPECT_EQ(gone.code, ErrorCode::kNoSuchSession);
 }
 
+// kLint replies with the analyzer's structural passes (shape and coverage)
+// in RenderDiagnostics' format. Pinned byte for byte on a mapping with a
+// dropped variable, an unread source relation, an unwritten target
+// relation, a null-only target position and a dead source position.
+TEST(SessionManagerTest, LintReplyGolden) {
+  SessionManager manager;
+  Response created = manager.Handle(
+      Make(MsgType::kCreateSession, 1,
+           "source schema { R(a, b); Dead(a); }\n"
+           "target schema { T(a, b); Empty(a); }\n"
+           "m: R(x, y) -> exists Z . T(x, Z);\n"),
+      0);
+  ASSERT_EQ(created.type, MsgType::kReply) << created.text;
+  Response lint = manager.Handle(Make(MsgType::kLint, 1), 0);
+  ASSERT_EQ(lint.type, MsgType::kReply) << lint.text;
+  EXPECT_EQ(lint.text,
+            "3:4: warning: [shape/dropped-variable] tgd 'm': LHS variable 'y' "
+            "never reaches the RHS (source data dropped?)\n"
+            "    hint: map 'y' to a target attribute, or rename it if the "
+            "projection is intended\n"
+            "-: warning: [shape/unused-source-relation] source relation "
+            "'Dead' is not read by any s-t tgd (data never migrated)\n"
+            "-: warning: [shape/unpopulated-target-relation] target relation "
+            "'Empty' is not written by any tgd (always empty)\n"
+            "3:26: warning: [coverage/null-only-position] target attribute "
+            "T.b is only ever filled with invented nulls (no tgd supplies a "
+            "value)\n"
+            "    hint: have some tgd copy a source value or constant into "
+            "T.b\n"
+            "3:4: warning: [coverage/dead-source-position] source attribute "
+            "R.b never reaches the target: no s-t tgd copies its value or "
+            "compares it\n"
+            "    hint: map R.b to a target attribute, or confirm the "
+            "projection is intended\n");
+}
+
 TEST(SessionManagerTest, LoadSessionSpecs) {
   SessionManager manager;
   Response random = manager.Handle(

@@ -80,6 +80,59 @@ TEST(ChaseTest, TransitiveClosure) {
   EXPECT_EQ(s.target->TotalTuples(), 6u);
 }
 
+TEST(ChaseTest, RecursiveTargetTgdIsReenumeratedToItsFixpoint) {
+  // sigma2 reads the relation it writes, so every round that grows T must
+  // enumerate it again; `copy` reads T too, and `edges` reads only E, which
+  // stops growing after the s-t phase.
+  Scenario s = ParseScenario(R"(
+    source schema { S(x, y); }
+    target schema { E(x, y); T(x, y); U(x, y); W(x, y); }
+    sigma0: S(x,y) -> E(x,y);
+    sigma1: S(x,y) -> T(x,y);
+    sigma2: T(x,y) & T(y,z) -> T(x,z);
+    copy: T(x,y) -> U(x,y);
+    edges: E(x,y) -> W(x,y);
+    source instance {
+      S(1,2); S(2,3); S(3,4); S(4,5); S(5,6); S(6,7); S(7,8); S(8,9);
+    }
+  )");
+  ChaseResult result = Chase(*s.mapping, *s.source);
+  ASSERT_EQ(result.outcome, ChaseOutcome::kSuccess);
+  const Schema& target = s.mapping->target();
+  // A path over 9 nodes closes to 9 * 8 / 2 = 36 pairs.
+  EXPECT_EQ(result.target->NumTuples(target.Require("T")), 36u);
+  EXPECT_EQ(result.target->NumTuples(target.Require("U")), 36u);
+  EXPECT_EQ(result.target->NumTuples(target.Require("W")), 8u);
+  EXPECT_GE(result.stats.rounds, 4u);
+  std::string why;
+  EXPECT_TRUE(IsSolution(*s.mapping, *s.source, *result.target, &why)) << why;
+}
+
+TEST(ChaseTest, EgdUnificationForcesReenumeration) {
+  // Round 1 enumerates t while T(1, N) cannot join U(2). The egd then
+  // rewrites N to 2 without changing how many tuples T or U hold, and the
+  // next round must still find the new match T(1, 2) & U(2).
+  Scenario s = ParseScenario(R"(
+    source schema { R(a); P(a, b); Q(a); }
+    target schema { T(a, b); U(a); V(a); W(a, b); }
+    m1: R(x) -> exists Y . T(x, Y);
+    m2: P(x, y) -> W(x, y);
+    m3: Q(y) -> U(y);
+    t: T(x, y) & U(y) -> V(x);
+    e: T(x, y) & W(x, z) -> y = z;
+    source instance { R(1); P(1, 2); Q(2); }
+  )");
+  ChaseResult result = Chase(*s.mapping, *s.source);
+  ASSERT_EQ(result.outcome, ChaseOutcome::kSuccess);
+  EXPECT_EQ(result.stats.egd_steps, 1u);
+  const Schema& target = s.mapping->target();
+  EXPECT_TRUE(
+      result.target->FindRow(target.Require("V"), Tuple({Value::Int(1)}))
+          .has_value());
+  std::string why;
+  EXPECT_TRUE(IsSolution(*s.mapping, *s.source, *result.target, &why)) << why;
+}
+
 TEST(ChaseTest, EgdUnifiesNullWithConstant) {
   Scenario s = ParseScenario(R"(
     source schema { R(a, b); P(a, c); }

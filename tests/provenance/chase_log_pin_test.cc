@@ -1,8 +1,8 @@
 // Pins the annotated chase's full output — every AnnotatedChaseLog field,
 // the target in row order, next_null_id and any EgdFailure — to digests
 // recorded from a known-good build, over curated fixtures (egd and
-// egd-failure ones included) and 240 random scenarios with egds, at 1, 2
-// and 8 threads. A change to how the annotated chase is driven may not move
+// egd-failure ones included, and the relational copy chain at 0..3 joins)
+// and 240 random scenarios with egds, at 1, 2 and 8 threads. A change to how the annotated chase is driven may not move
 // a single step, fact id, null id or row.
 #include <cstdint>
 #include <iterator>
@@ -17,6 +17,7 @@
 #include "testing/fixtures.h"
 #include "workload/random_scenario.h"
 #include "workload/real_scenarios.h"
+#include "workload/relational_scenario.h"
 
 namespace spider {
 namespace {
@@ -130,6 +131,16 @@ std::vector<Fixture> CuratedFixtures() {
   real.units = 2;
   out.push_back({"dblp", BuildDblpScenario(real)});
   out.push_back({"mondial", BuildMondialScenario(real)});
+  // The paper's relational copy chain (§4.1): the target tgds copy group g
+  // into group g + 1, so most of the chase is the target-tgd fixpoint.
+  for (int joins = 0; joins <= 3; ++joins) {
+    RelationalScenarioOptions relational;
+    relational.joins = joins;
+    relational.groups = 3;
+    relational.sizes.units = 2;
+    out.push_back({"relational_j" + std::to_string(joins),
+                   BuildRelationalScenario(relational)});
+  }
   return out;
 }
 
@@ -138,6 +149,8 @@ constexpr uint64_t kCuratedDigests[] = {
     0x59af6732c901b807ULL, 0x42e6b0069fc57160ULL, 0xd7933b4497d89abcULL,
     0x272704f9686d93e4ULL, 0xe3e5f5d4d7315078ULL, 0x958d0a8fb7195e60ULL,
     0x7b20ded4700ef253ULL, 0x1c03d68310bfd3e6ULL, 0x6093b88c383ff86eULL,
+    0xfc7cfe8f6e9a50efULL, 0x225d993e668d646dULL, 0x6ebde7a1df8d796dULL,
+    0x9c64699bfb33689fULL,
 };
 
 constexpr int kRandomSeeds = 240;

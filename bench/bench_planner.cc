@@ -14,9 +14,10 @@
 //   chase      — the full chase of the same scenario.
 // Each comparison checks the two planners agree on every semantic output
 // (forest rendering, findHom successes, route found flags, chase triggers)
-// before reporting the counter deltas, plus the fully-bound invariant: the
-// chase's levels_entered must be identical under both planners (the RHS
-// containment checks pin the original atom order in every mode). A
+// before reporting the counter deltas, plus the chase invariant: its
+// levels_entered must be identical under both planners (every copy tgd is
+// full, so its RHS check is fused into insert-if-absent outside the
+// evaluator, and levels_entered counts premise enumeration alone). A
 // "cost_model" section reports this host's calibrated constants next to
 // the committed defaults the engines actually plan with.
 
@@ -250,10 +251,11 @@ int Run(const std::string& out_path, bool smoke) {
   double chase_ratio = 0;
   MeasurePair(run_chase, /*inner=*/1, &chase_before, &chase_after,
               &chase_ratio);
-  // The chase's RHS containment checks are fully bound, and fully-bound
-  // conjunctions run in the caller's original atom order under every
-  // planner, so the levels_entered count must be planner-invariant. A
-  // drift here means a planner changed which atom short-circuits.
+  // Every copy tgd is full, and a full tgd's RHS check is fused into
+  // insert-if-absent: it never enters the evaluator. So levels_entered
+  // counts premise enumeration alone, where both planners enter the same
+  // levels on these two-atom copy premises. A drift here means a planner
+  // changed how a premise is joined.
   SPIDER_CHECK(
       chase_before.eval.levels_entered == chase_after.eval.levels_entered,
       "chase levels_entered drifted between planners");

@@ -64,18 +64,50 @@ EgdUnification::Kind ApplyOneEgdStep(const SchemaMapping& mapping,
   return EgdUnification::Kind::kNoop;
 }
 
+/// True when trigger `b` of tgd `id` is satisfied in `target`. A full tgd's
+/// RHS is fully bound, so each atom is one FindRowRef (up to the first
+/// absent one); a tgd with existentials runs the keyed containment query.
+bool RhsSatisfied(TgdId id, const Tgd& tgd, const Binding& b,
+                  const Instance& target, const EvalOptions& eval,
+                  EvalStats* stats) {
+  if (!tgd.ExistentialVars().empty()) {
+    return HasMatch(
+        target, tgd.rhs(), b, eval, stats,
+        MakePlanKey(PlanKeyFamily::kChaseRhsCheck, static_cast<uint64_t>(id)));
+  }
+  std::vector<const Value*> cells;
+  for (const Atom& atom : tgd.rhs()) {
+    cells.clear();
+    for (const Term& t : atom.terms) {
+      cells.push_back(t.is_const() ? &t.value() : &b.Get(t.var()));
+    }
+    ++stats->point_lookups;
+    if (!target.FindRowRef(atom.relation, cells).has_value()) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-Binding FireTgdTrigger(const Tgd& tgd, const Binding& universal,
-                       Instance* target, int64_t* next_null_id) {
-  Binding h = universal;
+bool ApplyTgdTrigger(TgdId id, const Tgd& tgd, Binding* h, Instance* target,
+                     int64_t* next_null_id, const EvalOptions& eval,
+                     EvalStats* stats) {
+  if (tgd.ExistentialVars().empty()) {
+    bool fired = false;
+    for (const Atom& atom : tgd.rhs()) {
+      ++stats->point_lookups;
+      fired |= target->Insert(atom.relation, h->Instantiate(atom)).inserted;
+    }
+    return fired;
+  }
+  if (RhsSatisfied(id, tgd, *h, *target, eval, stats)) return false;
   for (VarId y : tgd.ExistentialVars()) {
-    h.Set(y, Value::Null((*next_null_id)++));
+    h->Set(y, Value::Null((*next_null_id)++));
   }
   for (const Atom& atom : tgd.rhs()) {
-    target->Insert(atom.relation, h.Instantiate(atom));
+    target->Insert(atom.relation, h->Instantiate(atom));
   }
-  return h;
+  return true;
 }
 
 EgdUnification ApplyEgdTrigger(const Egd& egd, const Binding& h,
@@ -151,28 +183,35 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
   int64_t null_counter = options.first_null_id;
   size_t steps = 0;
   auto over_limit = [&]() { return steps > options.max_steps; };
-  auto fire = [&](TgdId id, const Tgd& tgd, const Binding& universal) {
-    const int64_t first_null = null_counter;
-    Binding h = FireTgdTrigger(tgd, universal, &target, &null_counter);
-    result.stats.nulls_created +=
-        static_cast<size_t>(null_counter - first_null);
-    if (observer != nullptr) observer->OnTgdStep(id, h);
-  };
 
   // Every query the chase issues goes through one plan cache, so a tgd
-  // whose premise is re-evaluated across rounds (or whose RHS is re-checked
-  // per trigger) replans only when the target's version has moved. Callers
-  // may supply their own cache via options.eval.plan_cache.
+  // whose premise is re-evaluated across rounds (or, with existentials,
+  // whose RHS is re-checked per trigger) replans only when the target's
+  // version has moved. Callers may supply their own cache via
+  // options.eval.plan_cache.
   PlanCache local_cache;
   EvalOptions eval = options.eval;
   if (eval.plan_cache == nullptr) eval.plan_cache = &local_cache;
 
+  // Applies trigger *h of tgd `id` and reports a firing to the observer.
+  auto fire = [&](TgdId id, const Tgd& tgd, Binding* h) {
+    const int64_t first_null = null_counter;
+    if (!ApplyTgdTrigger(id, tgd, h, &target, &null_counter, eval,
+                         &result.stats.eval)) {
+      return false;
+    }
+    result.stats.nulls_created +=
+        static_cast<size_t>(null_counter - first_null);
+    if (observer != nullptr) observer->OnTgdStep(id, *h);
+    return true;
+  };
+
   // Phase 1: s-t tgds. The source is never mutated, so trigger enumeration
   // is a pure read over I and fans out per dependency (EnumerateTriggers).
-  // Firing then runs on this thread in canonical dependency order (including
-  // the standard-chase RHS check, which must see the target as it grows),
-  // so the target instance, null-id assignment, and stats are byte-identical
-  // at every thread count.
+  // Firing then runs on this thread in canonical dependency order (the
+  // standard-chase RHS check must see the target as it grows), so the
+  // target instance, null-id assignment, and stats are byte-identical at
+  // every thread count.
   const std::vector<TgdId>& st_tgds = mapping.st_tgds();
   std::vector<TriggerQuery> queries;
   queries.reserve(st_tgds.size());
@@ -196,31 +235,41 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
     obs::TraceSpan fire_span("chase", "st_fire");
     for (size_t i = 0; i < st_tgds.size() && !over_limit(); ++i) {
       const Tgd& tgd = mapping.tgd(st_tgds[i]);
-      for (const Binding& b : triggers[i]) {
+      for (Binding& b : triggers[i]) {
         ThrowIfCancelled(options.cancel);
         if (++steps, over_limit()) break;
-        if (!HasMatch(target, tgd.rhs(), b, eval, &result.stats.eval,
-                      MakePlanKey(PlanKeyFamily::kChaseRhsCheck,
-                                  static_cast<uint64_t>(st_tgds[i])))) {
-          fire(st_tgds[i], tgd, b);
-          ++result.stats.st_steps;
-        }
+        if (fire(st_tgds[i], tgd, &b)) ++result.stats.st_steps;
       }
     }
   }
 
   // Phase 2: target tgds and egds to a fixpoint. Triggers over the (mutable)
-  // target are collected first, then re-checked and fired.
+  // target are collected first, then fired. A target tgd whose premise is
+  // unchanged since its previous enumeration is skipped (exact: see the
+  // comment on Chase() in chase.h).
+  const std::vector<TgdId>& target_tgds = mapping.target_tgds();
+  // Per target tgd: the egd step count, then the size of each premise
+  // relation, at its previous enumeration (empty before the first).
+  std::vector<std::vector<size_t>> enumerated_at(target_tgds.size());
+  std::vector<size_t> now;
   bool changed = !over_limit();
   while (changed && !over_limit()) {
     changed = false;
     ++result.stats.rounds;
     obs::TraceSpan round_span("chase", "target_round");
     round_span.AddArg("round", static_cast<int64_t>(result.stats.rounds));
-    for (TgdId id : mapping.target_tgds()) {
+    for (size_t k = 0; k < target_tgds.size(); ++k) {
+      const TgdId id = target_tgds[k];
       const Tgd& tgd = mapping.tgd(id);
-      const uint64_t rhs_key = MakePlanKey(PlanKeyFamily::kChaseRhsCheck,
-                                           static_cast<uint64_t>(id));
+      now.assign(1, result.stats.egd_steps);
+      for (const Atom& atom : tgd.lhs()) {
+        now.push_back(target.NumTuples(atom.relation));
+      }
+      if (now == enumerated_at[k]) {
+        ++result.stats.target_enumerations_skipped;
+        continue;
+      }
+      enumerated_at[k] = now;
       std::vector<Binding> pending;
       {
         Binding b(tgd.num_vars());
@@ -230,21 +279,17 @@ ChaseResult Chase(const SchemaMapping& mapping, const Instance& source,
         while (it.Next()) {
           ThrowIfCancelled(options.cancel);
           if (++steps, over_limit()) break;
-          if (!HasMatch(target, tgd.rhs(), b, eval, &result.stats.eval,
-                        rhs_key)) {
+          if (!RhsSatisfied(id, tgd, b, target, eval, &result.stats.eval)) {
             pending.push_back(b);
           }
         }
         result.stats.eval += it.stats();
       }
-      for (const Binding& b : pending) {
+      for (Binding& b : pending) {
         ThrowIfCancelled(options.cancel);
         if (++steps, over_limit()) break;
         // An earlier firing in this batch may have satisfied this trigger.
-        if (HasMatch(target, tgd.rhs(), b, eval, &result.stats.eval, rhs_key)) {
-          continue;
-        }
-        fire(id, tgd, b);
+        if (!fire(id, tgd, &b)) continue;
         ++result.stats.target_steps;
         changed = true;
       }

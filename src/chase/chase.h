@@ -55,9 +55,13 @@ struct ChaseStats {
   size_t egd_steps = 0;     ///< Egd unifications applied.
   size_t nulls_created = 0;
   size_t rounds = 0;        ///< Target fixpoint rounds.
+  /// Target-tgd enumerations skipped because none of the tgd's premise
+  /// relations grew, and no egd step was applied, since its previous one.
+  size_t target_enumerations_skipped = 0;
 
   /// Evaluator counters for every conjunctive query the chase issued
-  /// (trigger enumeration, RHS containment checks, egd matching). Exact and
+  /// (trigger enumeration, RHS containment checks, egd matching) and one
+  /// point lookup per RHS atom a full tgd's firing path looks up. Exact and
   /// deterministic at every thread count: plans are value-independent and
   /// the per-chase plan cache builds each (key, version) plan exactly once.
   EvalStats eval;
@@ -71,6 +75,8 @@ struct ChaseStats {
     registry->GetCounter("chase.egd_steps")->Add(egd_steps);
     registry->GetCounter("chase.nulls_created")->Add(nulls_created);
     registry->GetCounter("chase.rounds")->Add(rounds);
+    registry->GetCounter("chase.target_enumerations_skipped")
+        ->Add(target_enumerations_skipped);
     eval.PublishTo(registry, "chase.eval.");
   }
 
@@ -84,6 +90,7 @@ struct ChaseStats {
     egd_steps += other.egd_steps;
     nulls_created += other.nulls_created;
     rounds += other.rounds;
+    target_enumerations_skipped += other.target_enumerations_skipped;
     eval += other.eval;
     return *this;
   }
@@ -92,6 +99,7 @@ struct ChaseStats {
     return a.st_steps == b.st_steps && a.st_triggers == b.st_triggers &&
            a.target_steps == b.target_steps && a.egd_steps == b.egd_steps &&
            a.nulls_created == b.nulls_created && a.rounds == b.rounds &&
+           a.target_enumerations_skipped == b.target_enumerations_skipped &&
            a.eval == b.eval;
   }
 };
@@ -108,12 +116,21 @@ struct EgdUnification {
   Value replacement;
 };
 
-/// Fires one tgd trigger: binds every existential variable of `tgd` to a
-/// fresh labeled null drawn from *next_null_id and inserts the instantiated
-/// RHS into *target. Returns the full binding. Every chase path (the whole
-/// chase and the incremental maintainer's delta firing) fires through this.
-Binding FireTgdTrigger(const Tgd& tgd, const Binding& universal,
-                       Instance* target, int64_t* next_null_id);
+/// Applies one trigger `h` (the universal variables) of tgd `id` under the
+/// standard chase: fires it iff its RHS is not already satisfied in
+/// *target, and returns whether it fired. Every chase path (the whole chase
+/// and the incremental maintainer's delta firing) fires through this.
+///
+/// A full tgd (no existential variables) decides and fires in one pass:
+/// each instantiated RHS atom is inserted in order, and the trigger fired
+/// iff some insert added a tuple (one point lookup per atom is charged to
+/// *stats). A tgd with existentials first runs the keyed RHS containment
+/// query; when none matches it binds every existential variable in *h to a
+/// fresh labeled null drawn from *next_null_id and inserts the RHS. Either
+/// way, after a firing *h is the step's full binding.
+bool ApplyTgdTrigger(TgdId id, const Tgd& tgd, Binding* h, Instance* target,
+                     int64_t* next_null_id, const EvalOptions& eval,
+                     EvalStats* stats);
 
 /// Applies one egd trigger `h` of `egd` to *target under the deterministic
 /// unification rule shared by every chase path: a labeled null yields to a
@@ -191,6 +208,10 @@ struct ChaseResult {
 /// triggers, then target tgds and egds to a fixpoint. A tgd trigger fires
 /// only when its RHS is not already satisfied (standard, not oblivious,
 /// chase). On success the result is a universal solution for `source`.
+/// A fixpoint round skips a target tgd when none of its premise relations
+/// grew, and no egd step was applied, since its previous enumeration: the
+/// target only grows between egd steps, so every match it would find was
+/// already fired or found satisfied, and stays satisfied.
 ///
 /// This is the library's stand-in for Clio's execution engine: the route
 /// algorithms accept any solution, and the chase produces one. A non-null

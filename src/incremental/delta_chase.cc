@@ -359,7 +359,7 @@ void IncrementalChaser::InsertBatch(
   {
     PhaseTimer timer(&stats_.phases.fire_ms);
     obs::TraceSpan span("incremental", "fire");
-    frontier = FireCandidates(cands, result);
+    frontier = FireCandidates(std::move(cands), result);
   }
   PropagateFixpoint(std::move(frontier), result);
 }
@@ -511,7 +511,7 @@ void IncrementalChaser::DeleteBatch(
     }
     std::vector<Candidate> cands = Enumerate(std::move(queries));
     size_t fired_before = stats_.st_steps + stats_.target_steps;
-    frontier = FireCandidates(cands, result);
+    frontier = FireCandidates(std::move(cands), result);
     stats_.refired += stats_.st_steps + stats_.target_steps - fired_before;
   }
   PropagateFixpoint(std::move(frontier), result);
@@ -548,21 +548,19 @@ DirtyTuples IncrementalChaser::DirtyTargets(
 }
 
 std::vector<IncrementalChaser::FactId> IncrementalChaser::FireCandidates(
-    const std::vector<Candidate>& cands, ApplyDeltaResult* result) {
+    std::vector<Candidate> cands, ApplyDeltaResult* result) {
   std::unordered_map<int32_t, std::unordered_set<Binding, BindingHash>> seen;
   std::vector<FactId> created;
-  for (const Candidate& c : cands) {
+  for (Candidate& c : cands) {
     if (!seen[c.dep].insert(c.b).second) continue;
     BumpSteps();
     const Tgd& tgd = mapping_->tgd(c.dep);
-    if (HasMatch(*target_, tgd.rhs(), c.b, options_.eval, &stats_.eval,
-                 MakePlanKey(PlanKeyFamily::kChaseRhsCheck,
-                             static_cast<uint64_t>(c.dep)))) {
+    if (!ApplyTgdTrigger(c.dep, tgd, &c.b, target_, &null_counter_,
+                         options_.eval, &stats_.eval)) {
       continue;
     }
-    Binding h = FireTgdTrigger(tgd, c.b, target_, &null_counter_);
     ++(tgd.source_to_target() ? stats_.st_steps : stats_.target_steps);
-    RecordTgdStep(c.dep, h, &created, result);
+    RecordTgdStep(c.dep, c.b, &created, result);
   }
   return created;
 }

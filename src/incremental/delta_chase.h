@@ -106,7 +106,7 @@ struct ApplyDeltaResult {
 ///     one LHS atom is bound to a new fact and the remaining atoms form a
 ///     seeded query for the chase's EnumerateTriggers (plan-cached under the
 ///     chase's kChaseTrigger/kChaseEgd keys, atom slot = seeded atom + 1);
-///     triggers fire through the chase's own FireTgdTrigger/ApplyEgdTrigger
+///     triggers fire through the chase's own ApplyTgdTrigger/ApplyEgdTrigger
 ///     and are recorded by the same callbacks as the opening chase; new
 ///     facts propagate through target tgds and egds the same way;
 ///   * deletions — DRed over the derivation graph: an over-delete cascade
@@ -231,8 +231,9 @@ class IncrementalChaser : private ChaseObserver {
       const std::vector<FactId>& frontier) const;
 
   /// Dedups candidates (per dependency) and fires those whose RHS is not
-  /// already satisfied (through FireTgdTrigger); returns the created facts.
-  std::vector<FactId> FireCandidates(const std::vector<Candidate>& cands,
+  /// already satisfied (through ApplyTgdTrigger, which extends each fired
+  /// candidate's binding in place); returns the created facts.
+  std::vector<FactId> FireCandidates(std::vector<Candidate> cands,
                                      ApplyDeltaResult* result);
 
   /// Runs delta-scoped target-tgd rounds and egd checks until `frontier`

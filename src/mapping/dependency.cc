@@ -45,6 +45,9 @@ Tgd::Tgd(std::string name, std::vector<std::string> var_names,
   for (const Atom& atom : rhs_) {
     for (const Term& t : atom.terms) check_var(t);
   }
+  for (size_t v = 0; v < universal_.size(); ++v) {
+    if (!universal_[v]) existential_.push_back(static_cast<VarId>(v));
+  }
 }
 
 std::vector<VarId> Tgd::UniversalVars() const {
@@ -55,20 +58,12 @@ std::vector<VarId> Tgd::UniversalVars() const {
   return vars;
 }
 
-std::vector<VarId> Tgd::ExistentialVars() const {
-  std::vector<VarId> vars;
-  for (size_t v = 0; v < universal_.size(); ++v) {
-    if (!universal_[v]) vars.push_back(static_cast<VarId>(v));
-  }
-  return vars;
-}
-
 std::string Tgd::ToString(const Schema& source, const Schema& target) const {
   std::ostringstream os;
   os << name_ << ": ";
   AppendAtoms(os, lhs_, source_to_target_ ? source : target, var_names_);
   os << " -> ";
-  std::vector<VarId> existential = ExistentialVars();
+  const std::vector<VarId>& existential = ExistentialVars();
   if (!existential.empty()) {
     os << "exists ";
     for (size_t i = 0; i < existential.size(); ++i) {

@@ -41,8 +41,9 @@ class Tgd {
   bool IsUniversal(VarId v) const { return universal_[v]; }
   /// Universal variables (those occurring in the LHS), in VarId order.
   std::vector<VarId> UniversalVars() const;
-  /// Existential variables (RHS-only), in VarId order.
-  std::vector<VarId> ExistentialVars() const;
+  /// Existential variables (RHS-only), in VarId order. Empty iff the tgd
+  /// is full. Computed once at construction.
+  const std::vector<VarId>& ExistentialVars() const { return existential_; }
 
   /// Renders the tgd, e.g. `m1: Cards(cn, ...) -> Accounts(cn, ...) & ...`.
   std::string ToString(const Schema& source, const Schema& target) const;
@@ -77,6 +78,7 @@ class Tgd {
   std::vector<Atom> rhs_;
   bool source_to_target_;
   std::vector<bool> universal_;
+  std::vector<VarId> existential_;
   SourceSpan span_;
   std::vector<SourceSpan> lhs_spans_;
   std::vector<SourceSpan> rhs_spans_;

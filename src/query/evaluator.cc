@@ -96,7 +96,7 @@ QueryPlan MatchIterator::ComputePlan(const std::vector<Atom>& atoms) const {
     return true;
   };
 
-  // Fully-bound conjunction (the chase's RHS containment shape): keep the
+  // Fully-bound conjunction (a full tgd's RHS containment shape): keep the
   // caller's ORIGINAL atom order, for every planner mode. Whether each atom
   // has a match is access-path-independent, so with a pinned order both
   // planners short-circuit a failure on the same atom — levels_entered

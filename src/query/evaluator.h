@@ -94,7 +94,7 @@ struct EvalOptions {
 /// across all option combinations.
 ///
 /// Fully-bound conjunctions (every term a constant or an initially-bound
-/// variable — the shape of the chase's RHS containment checks) skip
+/// variable — the shape of a full tgd's RHS containment check) skip
 /// planning: each atom is checked with one exact-tuple point lookup in the
 /// caller's ORIGINAL atom order, for every planner mode. That makes the
 /// work counters of such queries planner-invariant by construction — the

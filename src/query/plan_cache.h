@@ -21,8 +21,9 @@ class Instance;
 /// PlanCache picks keys from its own family so two query shapes never
 /// collide: findHom's LHS/RHS selections (per tgd and probed-atom index; the
 /// incremental re-fire pass asks findHom's LHS query too), the chase's
-/// trigger enumeration and RHS containment check (per tgd), and the egd
-/// chase's LHS enumeration (per egd). In the two trigger families atom slot
+/// trigger enumeration and RHS containment check (per tgd; only tgds with
+/// existentials issue the check as a query, full tgds look their RHS up
+/// directly), and the egd chase's LHS enumeration (per egd). In the two trigger families atom slot
 /// 0 is the whole LHS and slot a + 1 the LHS minus atom a, with a's
 /// variables bound (the incremental maintainer's delta-scoped queries).
 enum class PlanKeyFamily : uint64_t {

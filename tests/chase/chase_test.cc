@@ -104,6 +104,9 @@ TEST(ChaseTest, RecursiveTargetTgdIsReenumeratedToItsFixpoint) {
   EXPECT_EQ(result.target->NumTuples(target.Require("U")), 36u);
   EXPECT_EQ(result.target->NumTuples(target.Require("W")), 8u);
   EXPECT_GE(result.stats.rounds, 4u);
+  // `edges` is enumerated once; every later round skips it.
+  EXPECT_GE(result.stats.target_enumerations_skipped,
+            result.stats.rounds - 1);
   std::string why;
   EXPECT_TRUE(IsSolution(*s.mapping, *s.source, *result.target, &why)) << why;
 }
@@ -125,6 +128,10 @@ TEST(ChaseTest, EgdUnificationForcesReenumeration) {
   ChaseResult result = Chase(*s.mapping, *s.source);
   ASSERT_EQ(result.outcome, ChaseOutcome::kSuccess);
   EXPECT_EQ(result.stats.egd_steps, 1u);
+  EXPECT_EQ(result.stats.target_steps, 1u);
+  // Round 3 skips t: no egd step and no premise growth since round 2.
+  EXPECT_EQ(result.stats.rounds, 3u);
+  EXPECT_EQ(result.stats.target_enumerations_skipped, 1u);
   const Schema& target = s.mapping->target();
   EXPECT_TRUE(
       result.target->FindRow(target.Require("V"), Tuple({Value::Int(1)}))

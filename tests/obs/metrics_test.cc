@@ -264,6 +264,17 @@ TEST(MetricsTest, CountersJsonByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(base.find("\"chase."), std::string::npos) << base;
   EXPECT_NE(base.find("\"routes."), std::string::npos) << base;
   EXPECT_NE(base.find("\"incremental."), std::string::npos) << base;
+  // The copy chain's second fixpoint round finds every premise unchanged,
+  // so the chase skips those target-tgd enumerations.
+  testing::JsonReader reader(base);
+  auto doc = reader.Parse();
+  ASSERT_NE(doc, nullptr) << reader.error();
+  const testing::JsonValue* counters = doc->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  const testing::JsonValue* skipped =
+      counters->Find("chase.target_enumerations_skipped");
+  ASSERT_NE(skipped, nullptr) << base;
+  EXPECT_GT(std::stoull(skipped->string_value), 0u);
   for (int threads : {2, 8}) {
     EXPECT_EQ(CountersAfterPipeline(threads), base) << threads << " threads";
   }

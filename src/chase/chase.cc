@@ -24,7 +24,7 @@ struct ChasePublishGuard {
     if (!obs::MetricsEnabled()) return;
     obs::Registry& registry = obs::Registry::Global();
     registry.GetCounter("chase.runs")->Increment();
-    stats->PublishTo(&registry);
+    stats->PublishTo(&registry, "chase.");
   }
 };
 

@@ -48,7 +48,8 @@ enum class ChaseOutcome {
   kStepLimit,   ///< max_steps exceeded (chase may be non-terminating).
 };
 
-struct ChaseStats {
+/// What one Chase() call did; published under "chase." once per call.
+struct ChaseStats : obs::FieldStats<ChaseStats> {
   size_t st_steps = 0;      ///< s-t tgd chase steps applied.
   size_t st_triggers = 0;   ///< s-t tgd triggers enumerated (fired or not).
   size_t target_steps = 0;  ///< Target tgd chase steps applied.
@@ -66,42 +67,18 @@ struct ChaseStats {
   /// the per-chase plan cache builds each (key, version) plan exactly once.
   EvalStats eval;
 
-  /// Adds the merged totals to the process-wide registry under "chase.*"
-  /// (done once per Chase() call when obs metrics are enabled).
-  void PublishTo(obs::Registry* registry) const {
-    registry->GetCounter("chase.st_steps")->Add(st_steps);
-    registry->GetCounter("chase.st_triggers")->Add(st_triggers);
-    registry->GetCounter("chase.target_steps")->Add(target_steps);
-    registry->GetCounter("chase.egd_steps")->Add(egd_steps);
-    registry->GetCounter("chase.nulls_created")->Add(nulls_created);
-    registry->GetCounter("chase.rounds")->Add(rounds);
-    registry->GetCounter("chase.target_enumerations_skipped")
-        ->Add(target_enumerations_skipped);
-    eval.PublishTo(registry, "chase.eval.");
-  }
+  static constexpr std::tuple kFields{
+      obs::Field{"st_steps", &ChaseStats::st_steps},
+      obs::Field{"st_triggers", &ChaseStats::st_triggers},
+      obs::Field{"target_steps", &ChaseStats::target_steps},
+      obs::Field{"egd_steps", &ChaseStats::egd_steps},
+      obs::Field{"nulls_created", &ChaseStats::nulls_created},
+      obs::Field{"rounds", &ChaseStats::rounds},
+      obs::Field{"target_enumerations_skipped",
+                 &ChaseStats::target_enumerations_skipped},
+      obs::Field{"eval", &ChaseStats::eval}};
 
-  /// Merges counters accumulated by another worker. Parallel regions give
-  /// each task its own ChaseStats and sum them at the join in canonical
-  /// task order, so totals are exact and deterministic.
-  ChaseStats& operator+=(const ChaseStats& other) {
-    st_steps += other.st_steps;
-    st_triggers += other.st_triggers;
-    target_steps += other.target_steps;
-    egd_steps += other.egd_steps;
-    nulls_created += other.nulls_created;
-    rounds += other.rounds;
-    target_enumerations_skipped += other.target_enumerations_skipped;
-    eval += other.eval;
-    return *this;
-  }
-
-  friend bool operator==(const ChaseStats& a, const ChaseStats& b) {
-    return a.st_steps == b.st_steps && a.st_triggers == b.st_triggers &&
-           a.target_steps == b.target_steps && a.egd_steps == b.egd_steps &&
-           a.nulls_created == b.nulls_created && a.rounds == b.rounds &&
-           a.target_enumerations_skipped == b.target_enumerations_skipped &&
-           a.eval == b.eval;
-  }
+  bool operator==(const ChaseStats&) const = default;
 };
 
 /// What an egd trigger did to the target (see ApplyEgdTrigger).

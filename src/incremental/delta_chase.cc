@@ -93,55 +93,6 @@ class PhaseTimer {
 
 }  // namespace
 
-void IncrementalPhaseTimes::PublishTo(obs::Registry* registry,
-                                      const std::string& prefix) const {
-  auto record = [&](const char* name, double ms) {
-    if (ms > 0) registry->GetHistogram(prefix + name)->Record(ms);
-  };
-  record("delete_apply_ms", delete_apply_ms);
-  record("dred_ms", dred_ms);
-  record("commit_ms", commit_ms);
-  record("refire_ms", refire_ms);
-  record("insert_apply_ms", insert_apply_ms);
-  record("trigger_ms", trigger_ms);
-  record("fire_ms", fire_ms);
-  record("propagate_ms", propagate_ms);
-}
-
-void IncrementalStats::PublishDeltaTo(obs::Registry* registry,
-                                      const IncrementalStats& since) const {
-  auto add = [&](const char* name, size_t now, size_t before) {
-    if (now > before) {
-      registry->GetCounter(std::string("incremental.") + name)
-          ->Add(now - before);
-    }
-  };
-  add("batches", batches, since.batches);
-  add("source_inserted", source_inserted, since.source_inserted);
-  add("source_deleted", source_deleted, since.source_deleted);
-  add("st_steps", st_steps, since.st_steps);
-  add("target_steps", target_steps, since.target_steps);
-  add("egd_steps", egd_steps, since.egd_steps);
-  add("triggers_enumerated", triggers_enumerated, since.triggers_enumerated);
-  add("overdeleted", overdeleted, since.overdeleted);
-  add("rederived", rederived, since.rederived);
-  add("refired", refired, since.refired);
-  add("full_rechases", full_rechases, since.full_rechases);
-  (eval - since.eval).PublishTo(registry, "incremental.eval.");
-  IncrementalPhaseTimes phase_delta;
-  phase_delta.delete_apply_ms =
-      phases.delete_apply_ms - since.phases.delete_apply_ms;
-  phase_delta.dred_ms = phases.dred_ms - since.phases.dred_ms;
-  phase_delta.commit_ms = phases.commit_ms - since.phases.commit_ms;
-  phase_delta.refire_ms = phases.refire_ms - since.phases.refire_ms;
-  phase_delta.insert_apply_ms =
-      phases.insert_apply_ms - since.phases.insert_apply_ms;
-  phase_delta.trigger_ms = phases.trigger_ms - since.phases.trigger_ms;
-  phase_delta.fire_ms = phases.fire_ms - since.phases.fire_ms;
-  phase_delta.propagate_ms = phases.propagate_ms - since.phases.propagate_ms;
-  phase_delta.PublishTo(registry, "incremental.phase.");
-}
-
 IncrementalChaser::IncrementalChaser(const SchemaMapping* mapping,
                                      Instance* source, Instance* target,
                                      IncrementalOptions options)
@@ -263,7 +214,7 @@ ApplyDeltaResult IncrementalChaser::Apply(const SourceDelta& delta) {
   const IncrementalStats before = stats_;
   ApplyDeltaResult result = ApplyImpl(delta);
   if (obs::MetricsEnabled()) {
-    stats_.PublishDeltaTo(&obs::Registry::Global(), before);
+    (stats_ - before).PublishTo(&obs::Registry::Global(), "incremental.");
   }
   return result;
 }

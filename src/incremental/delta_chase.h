@@ -10,7 +10,7 @@
 #include "incremental/fact_key.h"
 #include "incremental/source_delta.h"
 #include "mapping/schema_mapping.h"
-#include "obs/metrics.h"
+#include "obs/fields.h"
 #include "query/evaluator.h"
 #include "query/plan_cache.h"
 #include "storage/instance.h"
@@ -38,7 +38,7 @@ struct IncrementalOptions : ChaseOptions {
 /// The split makes regressions attributable: storage churn (erase), graph
 /// work (dred), query work (enumeration/refire) and firing show up
 /// separately (bench_incremental reports them alongside the totals).
-struct IncrementalPhaseTimes {
+struct IncrementalPhaseTimes : obs::FieldStats<IncrementalPhaseTimes> {
   double delete_apply_ms = 0;  ///< Source row resolution + batched erases.
   double dred_ms = 0;          ///< Over-delete cascade + re-derive fixpoint.
   double commit_ms = 0;        ///< Target row resolution + batched erases.
@@ -48,13 +48,22 @@ struct IncrementalPhaseTimes {
   double fire_ms = 0;          ///< Candidate RHS checks + tgd firings.
   double propagate_ms = 0;     ///< Target-tgd/egd fixpoint rounds.
 
-  /// Records each non-zero field as one histogram sample under `prefix`
-  /// (e.g. "incremental.phase." + "dred_ms"). Called with per-batch deltas,
-  /// so the histograms see one sample per phase per Apply().
-  void PublishTo(obs::Registry* registry, const std::string& prefix) const;
+  static constexpr std::tuple kFields{
+      obs::Field{"delete_apply_ms", &IncrementalPhaseTimes::delete_apply_ms},
+      obs::Field{"dred_ms", &IncrementalPhaseTimes::dred_ms},
+      obs::Field{"commit_ms", &IncrementalPhaseTimes::commit_ms},
+      obs::Field{"refire_ms", &IncrementalPhaseTimes::refire_ms},
+      obs::Field{"insert_apply_ms", &IncrementalPhaseTimes::insert_apply_ms},
+      obs::Field{"trigger_ms", &IncrementalPhaseTimes::trigger_ms},
+      obs::Field{"fire_ms", &IncrementalPhaseTimes::fire_ms},
+      obs::Field{"propagate_ms", &IncrementalPhaseTimes::propagate_ms}};
+
+  bool operator==(const IncrementalPhaseTimes&) const = default;
 };
 
-struct IncrementalStats {
+/// Totals over every Apply(); each batch's difference is published under
+/// "incremental.", so registry totals equal the struct totals.
+struct IncrementalStats : obs::FieldStats<IncrementalStats> {
   size_t batches = 0;          ///< Apply() calls processed.
   size_t source_inserted = 0;  ///< Source tuples actually added.
   size_t source_deleted = 0;   ///< Source tuples actually removed.
@@ -69,12 +78,22 @@ struct IncrementalStats {
   EvalStats eval;              ///< All conjunctive-query work issued.
   IncrementalPhaseTimes phases;  ///< Where Apply() time went.
 
-  /// Publishes the difference between this snapshot and `since` into the
-  /// registry: count fields as "incremental.*" counter increments, phase
-  /// times as histogram samples. Apply() calls this once per batch with the
-  /// pre-batch snapshot, so registry totals always equal the struct totals.
-  void PublishDeltaTo(obs::Registry* registry,
-                      const IncrementalStats& since) const;
+  static constexpr std::tuple kFields{
+      obs::Field{"batches", &IncrementalStats::batches},
+      obs::Field{"source_inserted", &IncrementalStats::source_inserted},
+      obs::Field{"source_deleted", &IncrementalStats::source_deleted},
+      obs::Field{"st_steps", &IncrementalStats::st_steps},
+      obs::Field{"target_steps", &IncrementalStats::target_steps},
+      obs::Field{"egd_steps", &IncrementalStats::egd_steps},
+      obs::Field{"triggers_enumerated", &IncrementalStats::triggers_enumerated},
+      obs::Field{"overdeleted", &IncrementalStats::overdeleted},
+      obs::Field{"rederived", &IncrementalStats::rederived},
+      obs::Field{"refired", &IncrementalStats::refired},
+      obs::Field{"full_rechases", &IncrementalStats::full_rechases},
+      obs::Field{"eval", &IncrementalStats::eval},
+      obs::Field{"phase", &IncrementalStats::phases}};
+
+  bool operator==(const IncrementalStats&) const = default;
 };
 
 /// What one Apply() did, in terms a cache can act on: the content keys of

@@ -9,12 +9,13 @@
 #include <vector>
 
 #include "incremental/fact_key.h"
+#include "obs/fields.h"
 #include "routes/route.h"
 #include "routes/route_forest.h"
 
 namespace spider {
 
-struct SharedRouteCacheStats {
+struct SharedRouteCacheStats : obs::FieldStats<SharedRouteCacheStats> {
   uint64_t route_hits = 0;
   uint64_t route_misses = 0;
   uint64_t forest_hits = 0;
@@ -22,6 +23,17 @@ struct SharedRouteCacheStats {
   uint64_t evictions = 0;
   size_t bytes = 0;
   size_t entries = 0;
+
+  static constexpr std::tuple kFields{
+      obs::Field{"route_hits", &SharedRouteCacheStats::route_hits},
+      obs::Field{"route_misses", &SharedRouteCacheStats::route_misses},
+      obs::Field{"forest_hits", &SharedRouteCacheStats::forest_hits},
+      obs::Field{"forest_misses", &SharedRouteCacheStats::forest_misses},
+      obs::Field{"evictions", &SharedRouteCacheStats::evictions},
+      obs::Field{"bytes", &SharedRouteCacheStats::bytes},
+      obs::Field{"entries", &SharedRouteCacheStats::entries}};
+
+  bool operator==(const SharedRouteCacheStats&) const = default;
 };
 
 /// The cross-session tier of the route cache (spider::serve): routes and

@@ -195,7 +195,7 @@ OneRouteResult ComputeOneRoute(const SchemaMapping& mapping,
   if (obs::MetricsEnabled()) {
     obs::Registry& registry = obs::Registry::Global();
     registry.GetCounter("routes.one_route_runs")->Increment();
-    result.stats.PublishTo(&registry);
+    result.stats.PublishTo(&registry, "routes.");
   }
   return result;
 }

@@ -48,7 +48,7 @@ struct RouteOptions {
 /// each task its own RouteStats (FindHomIterator likewise owns one) and
 /// merge them at the join in canonical task order, so counters stay exact
 /// at every thread count.
-struct RouteStats {
+struct RouteStats : obs::FieldStats<RouteStats> {
   uint64_t findhom_calls = 0;       ///< findHom invocations (per tgd).
   uint64_t findhom_successes = 0;   ///< Assignments produced.
   uint64_t infer_fires = 0;         ///< UNPROVEN triples fired by Infer.
@@ -62,34 +62,15 @@ struct RouteStats {
   /// cache builds each plan exactly once under its lock.
   EvalStats eval;
 
-  /// Adds the merged totals to the registry under "routes.*" (done once
-  /// per route-algorithm entry point when obs metrics are enabled).
-  void PublishTo(obs::Registry* registry) const {
-    registry->GetCounter("routes.findhom_calls")->Add(findhom_calls);
-    registry->GetCounter("routes.findhom_successes")->Add(findhom_successes);
-    registry->GetCounter("routes.infer_fires")->Add(infer_fires);
-    registry->GetCounter("routes.nodes_expanded")->Add(nodes_expanded);
-    registry->GetCounter("routes.branches_added")->Add(branches_added);
-    eval.PublishTo(registry, "routes.eval.");
-  }
+  static constexpr std::tuple kFields{
+      obs::Field{"findhom_calls", &RouteStats::findhom_calls},
+      obs::Field{"findhom_successes", &RouteStats::findhom_successes},
+      obs::Field{"infer_fires", &RouteStats::infer_fires},
+      obs::Field{"nodes_expanded", &RouteStats::nodes_expanded},
+      obs::Field{"branches_added", &RouteStats::branches_added},
+      obs::Field{"eval", &RouteStats::eval}};
 
-  RouteStats& operator+=(const RouteStats& other) {
-    findhom_calls += other.findhom_calls;
-    findhom_successes += other.findhom_successes;
-    infer_fires += other.infer_fires;
-    nodes_expanded += other.nodes_expanded;
-    branches_added += other.branches_added;
-    eval += other.eval;
-    return *this;
-  }
-
-  friend bool operator==(const RouteStats& a, const RouteStats& b) {
-    return a.findhom_calls == b.findhom_calls &&
-           a.findhom_successes == b.findhom_successes &&
-           a.infer_fires == b.infer_fires &&
-           a.nodes_expanded == b.nodes_expanded &&
-           a.branches_added == b.branches_added && a.eval == b.eval;
-  }
+  bool operator==(const RouteStats&) const = default;
 };
 
 }  // namespace spider

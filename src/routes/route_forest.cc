@@ -212,7 +212,7 @@ RouteForest ComputeAllRoutes(const SchemaMapping& mapping,
   if (obs::MetricsEnabled()) {
     obs::Registry& registry = obs::Registry::Global();
     registry.GetCounter("routes.all_routes_runs")->Increment();
-    forest.stats().PublishTo(&registry);
+    forest.stats().PublishTo(&registry, "routes.");
   }
   return forest;
 }

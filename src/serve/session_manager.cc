@@ -563,30 +563,10 @@ void SessionManager::InstallAnalysisCacheEntry(uint64_t key,
 }
 
 Response SessionManager::HandleStats(const Request& request) {
-  SessionManagerStats s = stats();
-  SharedRouteCacheStats c = shared_cache_.stats();
-  std::string out;
-  out += "sessions " + std::to_string(s.open_sessions) + "\n";
-  out += "requests " + std::to_string(s.requests) + "\n";
-  out += "created " + std::to_string(s.sessions_created) + "\n";
-  out += "closed " + std::to_string(s.sessions_closed) + "\n";
-  out += "rejected " + std::to_string(s.rejected_over_budget) + "\n";
-  out += "engine_errors " + std::to_string(s.engine_errors) + "\n";
-  out += "cancelled " + std::to_string(s.cancelled) + "\n";
-  out += "deadline_exceeded " + std::to_string(s.deadline_exceeded) + "\n";
-  out += "replies_truncated " + std::to_string(s.replies_truncated) + "\n";
-  out += "approx_bytes " + std::to_string(s.approx_bytes) + "\n";
-  out += "shared_route_hits " + std::to_string(c.route_hits) + "\n";
-  out += "shared_route_misses " + std::to_string(c.route_misses) + "\n";
-  out += "shared_forest_hits " + std::to_string(c.forest_hits) + "\n";
-  out += "shared_forest_misses " + std::to_string(c.forest_misses) + "\n";
-  out += "shared_bytes " + std::to_string(c.bytes) + "\n";
-  out += "shared_evictions " + std::to_string(c.evictions) + "\n";
+  std::string out =
+      stats().Render("") + shared_cache_.stats().Render("shared_");
   out += "plan_cache_bytes " + std::to_string(plan_cache_.bytes()) + "\n";
   out += "plan_cache_evictions " + std::to_string(plan_cache_.evictions()) +
-         "\n";
-  out += "analyze_cache_hits " + std::to_string(s.analyze_cache_hits) + "\n";
-  out += "analyze_cache_misses " + std::to_string(s.analyze_cache_misses) +
          "\n";
   return OkResponse(request.request_id, std::move(out));
 }

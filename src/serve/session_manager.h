@@ -12,6 +12,7 @@
 #include "base/cancel.h"
 #include "debugger/debug_session.h"
 #include "incremental/shared_route_cache.h"
+#include "obs/fields.h"
 #include "query/plan_cache.h"
 #include "serve/protocol.h"
 
@@ -46,7 +47,7 @@ struct SessionManagerOptions {
   DebugSessionOptions session;
 };
 
-struct SessionManagerStats {
+struct SessionManagerStats : obs::FieldStats<SessionManagerStats> {
   uint64_t requests = 0;
   uint64_t sessions_created = 0;
   uint64_t sessions_closed = 0;
@@ -59,6 +60,25 @@ struct SessionManagerStats {
   uint64_t analyze_cache_misses = 0;  ///< kAnalyze that ran the analyzer.
   size_t open_sessions = 0;
   size_t approx_bytes = 0;  ///< Sum of per-session instance estimates.
+
+  static constexpr std::tuple kFields{
+      obs::Field{"requests", &SessionManagerStats::requests},
+      obs::Field{"sessions_created", &SessionManagerStats::sessions_created},
+      obs::Field{"sessions_closed", &SessionManagerStats::sessions_closed},
+      obs::Field{"rejected_over_budget",
+                 &SessionManagerStats::rejected_over_budget},
+      obs::Field{"engine_errors", &SessionManagerStats::engine_errors},
+      obs::Field{"cancelled", &SessionManagerStats::cancelled},
+      obs::Field{"deadline_exceeded", &SessionManagerStats::deadline_exceeded},
+      obs::Field{"replies_truncated", &SessionManagerStats::replies_truncated},
+      obs::Field{"analyze_cache_hits",
+                 &SessionManagerStats::analyze_cache_hits},
+      obs::Field{"analyze_cache_misses",
+                 &SessionManagerStats::analyze_cache_misses},
+      obs::Field{"open_sessions", &SessionManagerStats::open_sessions},
+      obs::Field{"approx_bytes", &SessionManagerStats::approx_bytes}};
+
+  bool operator==(const SessionManagerStats&) const = default;
 };
 
 /// Maps session ids to DebugSession instances and executes decoded requests

@@ -152,6 +152,43 @@ TEST(SessionManagerTest, ErrorMapping) {
   EXPECT_NE(stats.text.find("shared_route_hits "), std::string::npos);
 }
 
+// The whole kStats reply after one create and one route: the manager's
+// counters, then the shared route tier's under "shared_", then the plan
+// tier's level, one "name value" line each.
+TEST(SessionManagerTest, StatsReplyGolden) {
+  SessionManager manager;
+  Response created = manager.Handle(
+      Make(MsgType::kCreateSession, 1, testing::TransitiveClosureText()), 0);
+  ASSERT_EQ(created.type, MsgType::kReply) << created.text;
+  Response route = manager.Handle(Make(MsgType::kRoute, 1, "T(1, 3)"), 0);
+  ASSERT_EQ(route.type, MsgType::kReply) << route.text;
+
+  Response stats = manager.Handle(Make(MsgType::kStats, 0), 0);
+  ASSERT_EQ(stats.type, MsgType::kReply) << stats.text;
+  EXPECT_EQ(stats.text,
+            "requests 3\n"
+            "sessions_created 1\n"
+            "sessions_closed 0\n"
+            "rejected_over_budget 0\n"
+            "engine_errors 0\n"
+            "cancelled 0\n"
+            "deadline_exceeded 0\n"
+            "replies_truncated 0\n"
+            "analyze_cache_hits 0\n"
+            "analyze_cache_misses 0\n"
+            "open_sessions 1\n"
+            "approx_bytes 65736\n"
+            "shared_route_hits 0\n"
+            "shared_route_misses 1\n"
+            "shared_forest_hits 0\n"
+            "shared_forest_misses 0\n"
+            "shared_evictions 0\n"
+            "shared_bytes 728\n"
+            "shared_entries 1\n"
+            "plan_cache_bytes 712\n"
+            "plan_cache_evictions 0\n");
+}
+
 TEST(SessionManagerTest, AdmissionControlBySessionCount) {
   SessionManagerOptions options;
   options.max_sessions = 2;

@@ -5,11 +5,11 @@ contracts before they reach review.
 Rules
 -----
   clock-in-engine
-      The chase, route, executor, and algebra layers (src/chase,
-      src/routes, src/exec, src/algebra) must be time-free: results and
-      stats are byte-identical
-      across runs, so no steady_clock/system_clock/high_resolution_clock
-      reads are allowed there. Timing belongs to bench/ and src/obs.
+      The storage, query, chase, provenance, route, executor, algebra,
+      analysis and debugger layers (see CLOCK_FREE_DIRS) must be
+      time-free: results and stats are byte-identical across runs, so no
+      steady_clock/system_clock/high_resolution_clock reads are allowed
+      there. Timing belongs to bench/ and src/obs.
 
   unordered-serialize
       Iterating an unordered container directly into serialized output
@@ -43,7 +43,8 @@ UNORDERED_RULE = "unordered-serialize"
 # exception is the cost-model calibration harness, whose clock reads carry
 # explicit allow(clock-in-engine) markers.
 CLOCK_FREE_DIRS = ("src/chase", "src/routes", "src/exec", "src/algebra",
-                   "src/query")
+                   "src/query", "src/storage", "src/provenance",
+                   "src/analysis", "src/debugger")
 # Directories scanned for unordered-iteration-into-output.
 SERIALIZE_DIRS = ("src",)
 
@@ -197,6 +198,7 @@ def self_test():
                 ("src/chase/seeded_clock.cc", SELF_TEST_CLOCK),
                 ("src/chase/allowed_clock.cc", SELF_TEST_CLOCK_ALLOWED),
                 ("src/algebra/seeded_algebra_clock.cc", SELF_TEST_CLOCK),
+                ("src/debugger/seeded_debugger_clock.cc", SELF_TEST_CLOCK),
                 ("src/render/seeded_unordered.cc", SELF_TEST_UNORDERED),
                 ("src/render/allowed_unordered.cc",
                  SELF_TEST_UNORDERED_ALLOWED)):
@@ -210,6 +212,8 @@ def self_test():
             failures.append("clock rule missed the seeded violation")
         if "seeded_algebra_clock.cc" not in by_file:
             failures.append("clock rule missed the src/algebra violation")
+        if "seeded_debugger_clock.cc" not in by_file:
+            failures.append("clock rule missed the src/debugger violation")
         if "allowed_clock.cc" in by_file:
             failures.append("clock rule ignored allow()")
         if "seeded_unordered.cc" not in by_file:

@@ -2,9 +2,8 @@
 // seed bound-count planner. Work counters (tuples scanned, index probes,
 // levels entered) are deterministic across machines and reps; wall clock
 // comes from the median-ratio rep of kWallReps interleaved before/after
-// repetitions (see MeasurePair), so neither a cold-cache first rep nor a
-// slow host phase can swing the committed numbers. Emits BENCH_planner.json
-// (or
+// repetitions (see MeasurePair), so neither a cold-cache first pass nor a
+// slow host phase can swing the committed numbers. Emits BENCH_planner.json (or
 // argv[1]) with before/after counters and a wall_ms_ratio (after / before,
 // < 1 means the planner pays for itself) for the three main drivers on the
 // largest route workload of bench_common (relational, joins=1, groups=6,
@@ -23,6 +22,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -41,9 +41,13 @@
 namespace spider::bench {
 namespace {
 
-/// Timed repetitions per measurement; the reported wall_ms is the median,
-/// so the first (index-warming) rep lands in the discarded tail.
-constexpr int kWallReps = 5;
+/// Timed repetitions per measurement (odd, so the median ratio is one rep's).
+constexpr int kWallReps = 21;
+
+/// Minimum wall time of one side of one repetition. Sections whose pass
+/// takes less run enough passes to reach it, so a scheduler hiccup is a
+/// small share of every sample.
+constexpr double kMinRepMs = 100;
 
 struct Measured {
   EvalStats eval;
@@ -61,69 +65,59 @@ Measured Timed(const F& fn) {
   return m;
 }
 
-/// One timed repetition: `inner` back-to-back passes of `fn`, wall divided
-/// back down to per-pass. Sections whose single pass finishes in fractions
-/// of a millisecond use inner > 1 so timer granularity and scheduler noise
-/// cannot swamp the measurement. Counters must be pass-invariant — they
+/// Measures both planners over kWallReps repetitions. A repetition runs the
+/// same number of passes per planner — at least `inner`, and enough that
+/// the slower planner's first (untimed) pass would take kMinRepMs — pass by
+/// pass, alternating which planner goes first, so a slow phase of the host
+/// or a first-runner cost lands on both sides alike. Each side's wall_ms is
+/// its mean pass time in the rep. Counters must be pass-invariant — they
 /// are deterministic functions of the plan, and this checks it — so the
-/// reported counters are one pass's worth.
-template <typename F>
-Measured TimedPasses(const F& fn, int inner) {
-  Measured m = Timed([&] {
-    EvalStats stats = fn();
-    for (int extra = 1; extra < inner; ++extra) {
-      EvalStats again = fn();
-      SPIDER_CHECK(again.tuples_scanned == stats.tuples_scanned &&
-                       again.index_probes == stats.index_probes &&
-                       again.levels_entered == stats.levels_entered,
-                   "evaluator counters drifted across bench passes");
-    }
-    return stats;
-  });
-  m.wall_ms /= inner;
-  return m;
-}
-
-/// Measures both planners over kWallReps interleaved repetitions —
-/// before/after back to back within each rep, so slow phases of the host
-/// hit both sides alike instead of biasing whichever mode ran second. The
-/// pairing makes each rep's after/before ratio immune to host drift
-/// between reps, so the rep with the MEDIAN ratio is the representative
-/// measurement: its two wall times are reported as-is (one genuinely
-/// measured pair, so wall_ms_ratio always equals after/before exactly).
-/// `fn` takes a PlannerMode and runs one pass of the section.
+/// reported counters are one pass's worth. The rep with the MEDIAN
+/// after/before ratio is the representative measurement: its two wall
+/// times are reported as-is, so wall_ms_ratio always equals after/before
+/// exactly. `fn` takes a PlannerMode and runs one pass of the section.
 template <typename F>
 void MeasurePair(const F& fn, int inner, Measured* before, Measured* after,
                  double* ratio) {
-  std::vector<double> before_walls, after_walls, ratios;
+  auto run = [&](PlannerMode mode) { return Timed([&] { return fn(mode); }); };
+  double pass_ms = std::max(run(PlannerMode::kBoundCount).wall_ms,
+                            run(PlannerMode::kSelectivity).wall_ms);
+  int passes = inner;
+  if (pass_ms > 0 && pass_ms * passes < kMinRepMs) {
+    passes = static_cast<int>(std::ceil(kMinRepMs / pass_ms));
+  }
+  std::vector<Measured> befores, afters;
+  std::vector<double> ratios;
   for (int rep = 0; rep < kWallReps; ++rep) {
-    Measured b = TimedPasses([&] { return fn(PlannerMode::kBoundCount); },
-                             inner);
-    Measured a = TimedPasses([&] { return fn(PlannerMode::kSelectivity); },
-                             inner);
-    if (rep == 0) {
-      *before = b;
-      *after = a;
-    } else {
-      SPIDER_CHECK(b.eval.tuples_scanned == before->eval.tuples_scanned &&
-                       a.eval.tuples_scanned == after->eval.tuples_scanned,
-                   "evaluator counters drifted across bench reps");
+    Measured b, a;
+    for (int pass = 0; pass < passes; ++pass) {
+      bool before_first = (rep + pass) % 2 == 0;
+      for (bool is_before : {before_first, !before_first}) {
+        Measured m = run(is_before ? PlannerMode::kBoundCount
+                                   : PlannerMode::kSelectivity);
+        const Measured& first = is_before ? (befores.empty() ? m : befores[0])
+                                          : (afters.empty() ? m : afters[0]);
+        SPIDER_CHECK(m.eval.tuples_scanned == first.eval.tuples_scanned &&
+                         m.eval.index_probes == first.eval.index_probes &&
+                         m.eval.levels_entered == first.eval.levels_entered,
+                     "evaluator counters drifted across bench passes");
+        Measured& side = is_before ? b : a;
+        side.eval = m.eval;
+        side.wall_ms += m.wall_ms / passes;
+      }
     }
-    before_walls.push_back(b.wall_ms);
-    after_walls.push_back(a.wall_ms);
+    befores.push_back(b);
+    afters.push_back(a);
     ratios.push_back(b.wall_ms <= 0 ? 0.0 : a.wall_ms / b.wall_ms);
   }
   std::vector<double> sorted_ratios = ratios;
-  std::sort(sorted_ratios.begin(), sorted_ratios.end());
-  double median_ratio = sorted_ratios[sorted_ratios.size() / 2];
-  for (size_t rep = 0; rep < ratios.size(); ++rep) {
-    if (ratios[rep] == median_ratio) {
-      before->wall_ms = before_walls[rep];
-      after->wall_ms = after_walls[rep];
-      break;
-    }
-  }
-  *ratio = median_ratio;
+  std::nth_element(sorted_ratios.begin(),
+                   sorted_ratios.begin() + kWallReps / 2, sorted_ratios.end());
+  *ratio = sorted_ratios[kWallReps / 2];
+  size_t median = std::find(ratios.begin(), ratios.end(), *ratio) -
+                  ratios.begin();
+  *before = befores[median];
+  *after = afters[median];
 }
 
 void AppendCounters(std::ostream& os, const std::string& name,
@@ -263,7 +257,7 @@ int Run(const std::string& out_path, bool smoke) {
   // This host's measured cost ratios, reported next to the committed table
   // the engines actually plan with.
   CalibrationResult calibration =
-      CalibrateCostModel(/*rows=*/smoke ? 512 : 4096, /*repeats=*/kWallReps);
+      CalibrateCostModel(/*rows=*/smoke ? 512 : 4096, /*repeats=*/5);
 
   std::ofstream out(out_path);
   if (!out) {

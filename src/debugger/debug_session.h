@@ -120,6 +120,7 @@ class DebugSession {
   bool egd_entangled() const { return chaser_->egd_entangled(); }
   const IncrementalStats& chase_stats() const { return chaser_->stats(); }
   const RouteCacheStats& cache_stats() const { return cache_.stats(); }
+  const RouteCache& route_cache() const { return cache_; }
 
   /// Fingerprint of this session's history: the opening state key chained
   /// with a content hash of every applied delta, in order. Sessions with

@@ -7,7 +7,10 @@
 // and replayed through the RoutePlayer. Each chaser's per-batch outputs are
 // also digested and pinned to values recorded from a known-good build, so a
 // change to how the maintainer builds its derivation graph cannot silently
-// alter a DRed or re-fire result.
+// alter a DRed or re-fire result. The session's route-cache state (its
+// stats, its entry counts and whether every previously probed fact
+// re-probes as a hit or a miss) is pinned the same way, so a change to how
+// the cache finds what an edit invalidates cannot alter what it evicts.
 #include <algorithm>
 #include <iterator>
 #include <memory>
@@ -116,10 +119,43 @@ void DigestBatch(const Instance& source, const Instance& target,
       .Add(static_cast<int64_t>(r.target_rewritten));
 }
 
+/// Folds the session's route-cache state into the script's cache digest:
+/// every RouteCacheStats field and the number of cached routes and forests.
+void DigestCache(const DebugSession& session, testing::Digest* d) {
+  const RouteCacheStats& s = session.cache_stats();
+  for (size_t n : {s.route_hits, s.route_misses, s.forest_hits,
+                   s.forest_misses, s.route_evictions, s.forest_evictions,
+                   s.clears, session.route_cache().NumRoutes(),
+                   session.route_cache().NumForests()}) {
+    d->Add(static_cast<int64_t>(n));
+  }
+}
+
+/// Re-probes one fact after a batch and folds the outcome into `d`: "gone"
+/// when the edit deleted or rewrote it, else whether the probe was a cache
+/// hit. `hits` reads the matching hit counter.
+template <typename Probe, typename Hits>
+bool Reprobe(const DebugSession& session, const std::string& text,
+             const Probe& probe, const Hits& hits, testing::Digest* d) {
+  try {
+    session.debugger().TargetFact(text);
+  } catch (const SpiderError&) {
+    d->Add(std::string_view("gone"));
+    return false;
+  }
+  size_t before = hits(session.cache_stats());
+  probe();
+  d->Add(std::string_view(hits(session.cache_stats()) > before ? "hit"
+                                                               : "miss"));
+  return true;
+}
+
 /// Runs one edit script; returns false when the seed's initial chase fails
 /// (egd with no solution — nothing to maintain). `digests` receives one
-/// script digest per chaser (1, 2 and 8 threads).
-bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
+/// script digest per chaser (1, 2 and 8 threads); `cache_digest` receives
+/// the session's route-cache digest.
+bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests,
+               uint64_t* cache_digest) {
   RandomScenarioOptions opts;
   opts.seed = seed * 1000 + static_cast<uint64_t>(script);
   opts.rows_per_relation = 6;
@@ -150,6 +186,11 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
   }
   DebugSession session(BuildRandomScenario(opts));
   std::vector<testing::Digest> script_digests(chasers.size());
+  testing::Digest cache;
+  // Every fact probed so far (routes), and the one forest probed per batch,
+  // in first-probe order; all are re-probed after each later batch.
+  std::vector<std::string> probed;
+  std::vector<std::string> forest_probed;
   for (size_t i = 0; i < chasers.size(); ++i) {
     DigestBatch(sources[i], targets[i], *chasers[i], ApplyDeltaResult{},
                 &script_digests[i]);
@@ -158,6 +199,7 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
     for (const testing::Digest& d : script_digests) {
       digests->push_back(d.value());
     }
+    *cache_digest = cache.value();
   };
 
   Rng rng(opts.seed ^ 0xfeedULL);
@@ -166,8 +208,8 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
                               " batch " + std::to_string(b);
 
     // Probe up to two routes so the cache has entries the batch can evict
-    // or preserve.
-    std::vector<std::string> probed;
+    // or preserve, and the first one's forest.
+    const size_t first_new = probed.size();
     for (int p = 0; p < 2; ++p) {
       const Instance& t = *session.scenario().target;
       if (t.TotalTuples() == 0) break;
@@ -180,12 +222,21 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
           FactToString(fact, *session.scenario().source, t);
       try {
         session.RouteFor(text);
-        probed.push_back(std::move(text));
+        if (std::find(probed.begin(), probed.end(), text) == probed.end()) {
+          probed.push_back(std::move(text));
+        }
       } catch (const SpiderError&) {
         // Chase-produced facts always have routes; tolerate a probe
         // failing anyway rather than aborting the whole script.
       }
     }
+    if (probed.size() > first_new &&
+        std::find(forest_probed.begin(), forest_probed.end(),
+                  probed[first_new]) == forest_probed.end()) {
+      session.ForestFor(probed[first_new]);
+      forest_probed.push_back(probed[first_new]);
+    }
+    DigestCache(session, &cache);
 
     BatchOps batch = DrawBatch(&rng, scenario.mapping->source(),
                                sources[0], opts.fanout);
@@ -201,6 +252,8 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
       for (testing::Digest& d : script_digests) {
         d.Add(std::string_view("refused"));
       }
+      cache.Add(std::string_view("refused"));
+      DigestCache(session, &cache);
       finish();
       return true;  // instances are poisoned; end the script
     }
@@ -215,6 +268,7 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
       EXPECT_EQ(r0.removed, ri.removed) << where;
     }
     session.Apply(batch.delta);
+    DigestCache(session, &cache);
 
     // Determinism: byte-identical instances and null counters across
     // thread counts.
@@ -236,13 +290,15 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
     // Replay every probed fact that still exists: whether the route came
     // from the cache or was recomputed, it must validate and play through.
     for (const std::string& text : probed) {
-      FactRef ref;
-      try {
-        ref = session.debugger().TargetFact(text);
-      } catch (const SpiderError&) {
+      const Route* cached = nullptr;
+      if (!Reprobe(
+              session, text, [&] { cached = &session.RouteFor(text); },
+              [](const RouteCacheStats& s) { return s.route_hits; },
+              &cache)) {
         continue;  // the edit deleted or rewrote the fact
       }
-      const Route& route = session.RouteFor(text);
+      const Route& route = *cached;
+      FactRef ref = session.debugger().TargetFact(text);
       std::string why;
       EXPECT_TRUE(route.Validate(*session.scenario().mapping,
                                  *session.scenario().source,
@@ -253,6 +309,12 @@ bool RunScript(uint64_t seed, int script, std::vector<uint64_t>* digests) {
       }
       EXPECT_TRUE(player.done()) << where << " " << text;
     }
+    for (const std::string& text : forest_probed) {
+      Reprobe(
+          session, text, [&] { session.ForestFor(text); },
+          [](const RouteCacheStats& s) { return s.forest_hits; }, &cache);
+    }
+    DigestCache(session, &cache);
   }
   finish();
   return true;
@@ -333,15 +395,95 @@ constexpr uint64_t kScriptDigests[] = {
     0x790022572c0934c4ULL, 0x3a864e927bff5096ULL, 0x1bc7997fa3266ccaULL,
 };
 
+/// Per-script route-cache digests (same order; 0 for an unsolvable seed)
+/// recorded from a known-good build.
+constexpr uint64_t kCacheDigests[] = {
+    0x583c316a3b144cecULL, 0xd3b1eb4c6317db29ULL, 0x72631b96f423f8d8ULL,
+    0xa8c804eca2441f38ULL, 0x71c2abb09c6436f3ULL, 0x7a707ab63a119291ULL,
+    0xac57bad38f7be8e1ULL, 0, 0xc903f69a1ea84450ULL,
+    0x59db262770d25278ULL, 0, 0x117f3e3f03baeb7dULL,
+    0xb9c1ef5ca59a9cd8ULL, 0x2dcaf22d5a66e1b0ULL, 0x72631b96f423f8d8ULL,
+    0x7db3b2a8b79f4410ULL, 0xf3a22bc058309778ULL, 0x378d610f970c54e6ULL,
+    0xa1b4876042e797b8ULL, 0x3257c139723ba4e3ULL, 0xfcff10fd6b9e192cULL,
+    0x5283d9ffe27ddb63ULL, 0x71c2abb09c6436f3ULL, 0xc0baa181879de3c4ULL,
+    0x11d24b47be20832aULL, 0xbd95971d4babef42ULL, 0xa491c2fdfdddcacbULL,
+    0x2ad318d65cfe4599ULL, 0xf1de275de8247932ULL, 0x755a1da1c3e09dcbULL,
+    0xaa9b041956b98b00ULL, 0x8e50e8ff6b64c24fULL, 0xbc93580f8ff05f61ULL,
+    0x57c4a1035db61fa0ULL, 0x2c60c0189a6dc4f9ULL, 0x393c6f6378fd1434ULL,
+    0x15e3d796e75da5dbULL, 0xad40b7783e70ee14ULL, 0xcad00dc191a3d4dfULL,
+    0xc2ae321ae953cc24ULL, 0x050ac3ce641eccb0ULL, 0x5f9b22dd3b7a1547ULL,
+    0x2b9026e2af12ab74ULL, 0x8dd8c3a8b79bd025ULL, 0x9815b962ad611eb1ULL,
+    0xa0d4e2a125781d74ULL, 0, 0x5a37386bb32f7a73ULL,
+    0xbb2cefa1d516fc33ULL, 0x1ce904ef43c74ba0ULL, 0x71c2abb09c6436f3ULL,
+    0x5457718c88e1873bULL, 0x75f1b04d595006abULL, 0x742f3be420f45faaULL,
+    0xcc800e0cdaad2132ULL, 0x1aa24fe374ad0b7dULL, 0xba420ee5604d8c2eULL,
+    0x15e3d796e75da5dbULL, 0xb1f91c65b012b3edULL, 0x4a8b4f119a690134ULL,
+    0xb727b83251d922b1ULL, 0x7d621facf12d8a49ULL, 0x71c2abb09c6436f3ULL,
+    0x939ac588b5eb6a10ULL, 0xaeea3e75cc2a85c2ULL, 0x6ffca738f2e6fb1eULL,
+    0x72631b96f423f8d8ULL, 0xfd891479c6413a0aULL, 0x72631b96f423f8d8ULL,
+    0x6ffca738f2e6fb1eULL, 0x128953cb50a51a65ULL, 0x1294af8d667249b3ULL,
+    0xa5d2e316403725bcULL, 0x23cf0f79f3442350ULL, 0x2e8c058ab27c61dbULL,
+    0xaca378ad344ed978ULL, 0x9a818f2ef63b1973ULL, 0x22a98529b0f960d0ULL,
+    0xe2b2023fe5508ee3ULL, 0x4a3f12d1917bc7d5ULL, 0xe5577a591a28f9eaULL,
+    0x29acbe3602d9840aULL, 0x122fd03e311f0503ULL, 0x39dcbb204bdd88c2ULL,
+    0x5932352ac4025a42ULL, 0xa7d0181a03a285edULL, 0xef2dfc5867040c85ULL,
+    0x61309f2711adedbaULL, 0x1e6cdc33d4111118ULL, 0x2e95b9c9d34cbe97ULL,
+    0x200193eaad8eb00dULL, 0xa26ef0a527e21043ULL, 0xc2b365ecc0d3a2efULL,
+    0xb02daa76ac7d9aa0ULL, 0xc46d43be3824beb4ULL, 0x1294af8d667249b3ULL,
+    0xa9e0a9265e94dd03ULL, 0x2bf4e507bb217321ULL, 0x9abb5cb45c331a19ULL,
+    0x334c8bc4d146730dULL, 0x2f38a5b98f862b27ULL, 0xfc28dd4713a3455cULL,
+    0x9f000cfd3b1b0ee8ULL, 0x622e2500695d54f2ULL, 0x41e80dc72dbc8c70ULL,
+    0xc061aaf9320db4b9ULL, 0x20ea1e8a0f96de75ULL, 0x93a7d9e8f4d98ec7ULL,
+    0x3773d4a3d84ddcafULL, 0x88878f2d20fd2e69ULL, 0x43b697c4006a7392ULL,
+    0x3b2e0d9783918ff0ULL, 0xac28d7a4c87d25ceULL, 0xe8660e140274bf88ULL,
+    0x92172c2af59b4086ULL, 0x86a1297387e569c1ULL, 0x81566722d66d9be5ULL,
+    0xd8f99c6a2483a8a0ULL, 0x84d7e90a5c9c3ae0ULL, 0x89f45a54b6889692ULL,
+    0x839885c57f952db8ULL, 0x53c25e8630aedb31ULL, 0x222bca9f85786ac7ULL,
+    0xf2f2cb1c7c673b8fULL, 0x4a18483d94b973abULL, 0x916121d1d3cc5544ULL,
+    0x2f2af8d31002ea0aULL, 0x5e587bef06df650aULL, 0x555aafc523b1b355ULL,
+    0x799414e7e4f5e8fcULL, 0x66fedfc097dcd047ULL, 0x44389b07a31bb174ULL,
+    0x0e651291d1856dbfULL, 0x242abadd36201ce0ULL, 0x867004ffce629141ULL,
+    0x15e3d796e75da5dbULL, 0x74a21d96fc63bbe7ULL, 0x0b71095c03c85090ULL,
+    0x2918381254cccd7dULL, 0x495d74680c92bf23ULL, 0x7a4f05009b3bf8c1ULL,
+    0x15e3d796e75da5dbULL, 0xe8ba75f4a150fda0ULL, 0xcc297cf26c055a7cULL,
+    0xd84ae65f20c68657ULL, 0x4e529f11409227dbULL, 0xbaaf9227615b0728ULL,
+    0xc061aaf9320db4b9ULL, 0x5007a0c40b69f2e4ULL, 0xcd9cc53b45f88014ULL,
+    0x6ffca738f2e6fb1eULL, 0xc40deef7e03579cdULL, 0xe8660e140274bf88ULL,
+    0x9791d69a5268f397ULL, 0x87824b69aee62c77ULL, 0x6ffca738f2e6fb1eULL,
+    0xc72779d3bea9c15eULL, 0xcca1203123ffeca5ULL, 0x19e0dcebeb771edfULL,
+    0x0f41d468c0f45e15ULL, 0x21ff8a5a4d4cb2f7ULL, 0x589216ea4636c85bULL,
+    0x7235c657f438c0c8ULL, 0, 0xcc6facbdbbbb4ceeULL,
+    0xa06a82e44133d0faULL, 0x1b23cd99e18a15a1ULL, 0xc061aaf9320db4b9ULL,
+    0x4a8b4f119a690134ULL, 0xd6ed737cbcf1225eULL, 0xd1087a398706df48ULL,
+    0x6175a359da796556ULL, 0x53b8f7a0fa646487ULL, 0xfad3372dc70afd94ULL,
+    0x1202fe3491057c4aULL, 0xa57fa8aad58b440eULL, 0xbf45dba5c692e26cULL,
+    0x181ff1e4408cb235ULL, 0xd3b1eb4c6317db29ULL, 0x4e5c368d84b9107dULL,
+    0xb83917bda65fb417ULL, 0x15e3d796e75da5dbULL, 0xf4bab4ed4fbcd4d7ULL,
+    0x43c069dcb635dae2ULL, 0x193884fd62c92416ULL, 0xdd974dd4cb026d2cULL,
+    0xbb0a91dedcb4af6cULL, 0x27b2dca4edcfe20dULL, 0x71c2abb09c6436f3ULL,
+    0xaa9b041956b98b00ULL, 0x423df8ec46e5bc8fULL, 0x0b8faea860095fb6ULL,
+    0x16b13001c1391bbdULL, 0, 0x3b335b8bef7a2c60ULL,
+    0x91674824ffd42010ULL, 0x4d6788392a62c4a1ULL, 0xe37dcbb66155bdf8ULL,
+    0x3ae8def6a69dc4f3ULL, 0x0bc2ee84d6f01eb3ULL, 0x498d375c1ff0d9a2ULL,
+    0x522df78ca295fc17ULL, 0xdcbef6fa8dfb4971ULL, 0x0c3eaa2091e5fdb8ULL,
+    0x25d8622f887cb68bULL, 0x0495370635ab3c7aULL, 0xcf60b693b272ce1dULL,
+    0x1aa24fe374ad0b7dULL, 0xa4a1725109b77e42ULL, 0xa434636d8312e9b3ULL,
+};
+
 class DifferentialFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialFuzz, IncrementalMatchesScratchChase) {
   int ran = 0;
   for (int script = 0; script < kScriptsPerSeed; ++script) {
     std::vector<uint64_t> digests;
-    if (RunScript(GetParam(), script, &digests)) ++ran;
-    const uint64_t recorded =
-        kScriptDigests[(GetParam() - 1) * kScriptsPerSeed + script];
+    uint64_t cache_digest = 0;
+    if (RunScript(GetParam(), script, &digests, &cache_digest)) ++ran;
+    const size_t index = (GetParam() - 1) * kScriptsPerSeed + script;
+    const uint64_t recorded = kScriptDigests[index];
+    EXPECT_EQ(cache_digest, kCacheDigests[index])
+        << "seed " << GetParam() << " script " << script << ": cache digest "
+        << testing::Digest::Hex(cache_digest) << ", recorded "
+        << testing::Digest::Hex(kCacheDigests[index]);
     EXPECT_EQ(digests.empty(), recorded == 0)
         << "seed " << GetParam() << " script " << script;
     for (size_t i = 0; i < digests.size(); ++i) {

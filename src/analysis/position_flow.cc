@@ -1,5 +1,8 @@
 #include "analysis/position_flow.h"
 
+#include <utility>
+#include <vector>
+
 namespace spider {
 
 PositionIndex::PositionIndex(const Schema& schema) {
@@ -35,14 +38,18 @@ std::vector<int> VarPositions(const std::vector<Atom>& atoms,
 }  // namespace
 
 PositionFlow ComputePositionFlow(const SchemaMapping& mapping) {
-  PositionFlow flow{PositionIndex(mapping.source()),
-                    PositionIndex(mapping.target())};
-  flow.source_read.assign(flow.source.size(), false);
-  flow.source_reaches_target.assign(flow.source.size(), false);
-  flow.source_joins.assign(flow.source.size(), false);
-  flow.target_written.assign(flow.target.size(), false);
-  flow.target_can_hold_constant.assign(flow.target.size(), false);
-  flow.target_directly_grounded.assign(flow.target.size(), false);
+  PositionIndex source(mapping.source());
+  PositionIndex target(mapping.target());
+  const std::vector<bool> per_source(source.size(), false);
+  const std::vector<bool> per_target(target.size(), false);
+  PositionFlow flow{.source = std::move(source),
+                    .target = std::move(target),
+                    .source_read = per_source,
+                    .source_reaches_target = per_source,
+                    .source_joins = per_source,
+                    .target_written = per_target,
+                    .target_can_hold_constant = per_target,
+                    .target_directly_grounded = per_target};
 
   // Direct facts from each tgd. For s-t tgds every universal variable (and
   // every constant) grounds its RHS positions; the corresponding LHS

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <utility>
-#include <vector>
 
 #include "base/hash.h"
 #include "base/status.h"
@@ -32,10 +31,32 @@ uint64_t ChainStateKey(uint64_t key, const SourceDelta& delta) {
   return key;
 }
 
+/// Publishes the route-cache work of one session call (hits, misses,
+/// evictions) to the registry when the call returns or throws: one
+/// registry update per call instead of one per cache event.
+class CachePublisher {
+ public:
+  explicit CachePublisher(const RouteCache& cache)
+      : cache_(cache), before_(cache.stats()) {}
+  ~CachePublisher() {
+    if (obs::MetricsEnabled()) {
+      (cache_.stats() - before_).PublishTo(&obs::Registry::Global(), "cache.");
+    }
+  }
+  CachePublisher(const CachePublisher&) = delete;
+  CachePublisher& operator=(const CachePublisher&) = delete;
+
+ private:
+  const RouteCache& cache_;
+  RouteCacheStats before_;
+};
+
 }  // namespace
 
 DebugSession::DebugSession(Scenario scenario, DebugSessionOptions options)
-    : scenario_(std::move(scenario)), options_(std::move(options)) {
+    : scenario_(std::move(scenario)),
+      options_(std::move(options)),
+      cache_(scenario_.mapping.get()) {
   SPIDER_CHECK(scenario_.mapping != nullptr && scenario_.source != nullptr,
                "DebugSession requires a populated scenario");
   if (!options_.trace_path.empty()) obs::Tracer::Global().Start();
@@ -86,13 +107,14 @@ void DebugSession::SetCancel(const CancelToken* token) {
 
 ApplyDeltaResult DebugSession::Apply(const SourceDelta& delta) {
   obs::TraceSpan span("session", "apply");
+  CachePublisher publish(cache_);
   // Entry-only check: Apply mutates the instances in place and is not
   // abortable mid-flight. A token that flips later is ignored until the
   // batch lands (the reply then races the cancel — exactly one wins).
   ThrowIfCancelled(cancel_);
   ApplyDeltaResult result = chaser_->Apply(delta);
   scenario_.max_null_id = chaser_->next_null_id() - 1;
-  cache_.Invalidate(*scenario_.mapping, result);
+  cache_.Invalidate(result);
   state_key_ = ChainStateKey(state_key_, delta);
   return result;
 }
@@ -105,29 +127,29 @@ FactKey DebugSession::TargetKey(const std::string& fact_text) const {
 
 const Route& DebugSession::RouteFor(const std::string& fact_text) {
   obs::TraceSpan span("session", "route_for");
+  CachePublisher publish(cache_);
   FactRef ref = debugger_->TargetFact(fact_text);
   FactKey key{Side::kTarget, ref.relation,
               scenario_.target->tuple(ref.relation, ref.row)};
   if (const Route* cached = cache_.FindRoute(key)) return *cached;
   SharedRouteCache* shared = options_.shared_route_cache;
   if (shared != nullptr) {
-    if (auto entry = shared->FindRoute(state_key_, key)) {
+    if (auto route = shared->FindRoute(state_key_, key)) {
       // Install into the local cache so the session behaves identically
       // whether the shared tier was hot or cold (the local entry is what
       // survives later unrelated edits).
-      return cache_.PutRoute(key, entry->route, entry->deps);
+      return cache_.PutRoute(key, *route);
     }
   }
   OneRouteResult result = debugger_->OneRoute({ref});
   SPIDER_CHECK(result.found, "no route exists for " + fact_text);
-  std::vector<FactKey> deps =
-      RouteDependencies(*scenario_.mapping, result.route);
-  if (shared != nullptr) shared->PutRoute(state_key_, key, result.route, deps);
-  return cache_.PutRoute(key, std::move(result.route), std::move(deps));
+  if (shared != nullptr) shared->PutRoute(state_key_, key, result.route);
+  return cache_.PutRoute(key, std::move(result.route));
 }
 
 RouteForest& DebugSession::ForestFor(const std::string& fact_text) {
   obs::TraceSpan span("session", "forest_for");
+  CachePublisher publish(cache_);
   FactRef ref = debugger_->TargetFact(fact_text);
   FactKey key{Side::kTarget, ref.relation,
               scenario_.target->tuple(ref.relation, ref.row)};

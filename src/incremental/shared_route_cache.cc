@@ -16,14 +16,10 @@ void CountEvent(const char* name, uint64_t count = 1) {
 
 }  // namespace
 
-size_t ApproxRouteBytes(const Route& route,
-                        const std::vector<FactKey>& deps) {
+size_t ApproxRouteBytes(const Route& route) {
   size_t bytes = 64;
   for (const SatStep& step : route.steps()) {
     bytes += sizeof(SatStep) + step.h.size() * 24;
-  }
-  for (const FactKey& dep : deps) {
-    bytes += sizeof(FactKey) + dep.tuple.arity() * 24;
   }
   return bytes;
 }
@@ -41,8 +37,8 @@ size_t ApproxForestBytes(const RouteForest& forest) {
   return bytes;
 }
 
-std::shared_ptr<const SharedRouteCache::RouteEntry> SharedRouteCache::FindRoute(
-    uint64_t state, const FactKey& fact) {
+std::shared_ptr<const Route> SharedRouteCache::FindRoute(uint64_t state,
+                                                         const FactKey& fact) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(Key{state, 0, fact});
   if (it == entries_.end()) {
@@ -58,15 +54,14 @@ std::shared_ptr<const SharedRouteCache::RouteEntry> SharedRouteCache::FindRoute(
   return it->second.route;
 }
 
-std::shared_ptr<const SharedRouteCache::RouteEntry> SharedRouteCache::PutRoute(
-    uint64_t state, const FactKey& fact, Route route,
-    std::vector<FactKey> deps) {
-  auto entry = std::make_shared<RouteEntry>(
-      RouteEntry{std::move(route), std::move(deps)});
+std::shared_ptr<const Route> SharedRouteCache::PutRoute(uint64_t state,
+                                                        const FactKey& fact,
+                                                        Route route) {
+  auto entry = std::make_shared<const Route>(std::move(route));
   std::lock_guard<std::mutex> lock(mu_);
   Entry slot;
   slot.route = entry;
-  slot.bytes = ApproxRouteBytes(entry->route, entry->deps);
+  slot.bytes = ApproxRouteBytes(*entry);
   InsertLocked(Key{state, 0, fact}, std::move(slot));
   return entry;
 }

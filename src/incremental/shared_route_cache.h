@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "incremental/fact_key.h"
 #include "obs/fields.h"
@@ -60,24 +59,16 @@ struct SharedRouteCacheStats : obs::FieldStats<SharedRouteCacheStats> {
 /// the byte level are mirrored to obs under "shared_cache.*".
 class SharedRouteCache {
  public:
-  struct RouteEntry {
-    Route route;
-    std::vector<FactKey> deps;
-  };
-
   explicit SharedRouteCache(size_t max_bytes = 64u << 20)
       : max_bytes_(max_bytes) {}
   SharedRouteCache(const SharedRouteCache&) = delete;
   SharedRouteCache& operator=(const SharedRouteCache&) = delete;
 
-  /// Returns the cached route (with its dependency keys, so the caller can
-  /// seed its local cache) or nullptr. Counts a hit or a miss.
-  std::shared_ptr<const RouteEntry> FindRoute(uint64_t state,
-                                              const FactKey& fact);
+  /// Returns the cached route or nullptr. Counts a hit or a miss.
+  std::shared_ptr<const Route> FindRoute(uint64_t state, const FactKey& fact);
   /// Stores a copy-in entry and returns it.
-  std::shared_ptr<const RouteEntry> PutRoute(uint64_t state,
-                                             const FactKey& fact, Route route,
-                                             std::vector<FactKey> deps);
+  std::shared_ptr<const Route> PutRoute(uint64_t state, const FactKey& fact,
+                                        Route route);
 
   /// Returns the cached (fully expanded, immutable by convention) forest or
   /// nullptr. Callers must only read it through FactRef-based accessors and
@@ -104,7 +95,7 @@ class SharedRouteCache {
     }
   };
   struct Entry {
-    std::shared_ptr<const RouteEntry> route;
+    std::shared_ptr<const Route> route;
     std::shared_ptr<RouteForest> forest;
     size_t bytes = 0;
     std::list<Key>::iterator lru;
@@ -125,7 +116,7 @@ class SharedRouteCache {
 };
 
 /// Approximate heap footprint of cached values, used for byte accounting.
-size_t ApproxRouteBytes(const Route& route, const std::vector<FactKey>& deps);
+size_t ApproxRouteBytes(const Route& route);
 size_t ApproxForestBytes(const RouteForest& forest);
 
 }  // namespace spider

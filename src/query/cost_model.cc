@@ -92,7 +92,7 @@ CalibrationResult CalibrateCostModel(uint64_t rows, int repeats) {
       }
     }
     double scan_ns = ElapsedNs(scan_start) / static_cast<double>(scanned);
-    sink += scanned;
+    sink = sink + scanned;
 
     // Probe: posting-list lookups alone.
     auto probe_start = CalibrationClock::now();
@@ -102,7 +102,7 @@ CalibrationResult CalibrateCostModel(uint64_t rows, int repeats) {
     }
     double probe_ns =
         ElapsedNs(probe_start) / static_cast<double>(groups);
-    sink += probe_total;
+    sink = sink + probe_total;
 
     // Point lookup: exact-tuple dedup hits.
     auto lookup_start = CalibrationClock::now();
@@ -111,7 +111,7 @@ CalibrationResult CalibrateCostModel(uint64_t rows, int repeats) {
       if (instance.FindRow(rel, t).has_value()) ++found;
     }
     double lookup_ns = ElapsedNs(lookup_start) / static_cast<double>(rows);
-    sink += found;
+    sink = sink + found;
 
     registry.GetHistogram("query.calibrate.scan_ns")->Record(scan_ns);
     registry.GetHistogram("query.calibrate.probe_ns")->Record(probe_ns);

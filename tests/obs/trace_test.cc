@@ -69,7 +69,9 @@ std::unique_ptr<testing::JsonValue> CheckTraceSchema(const std::string& json) {
 
   const testing::JsonValue* unit = doc->Find("displayTimeUnit");
   EXPECT_NE(unit, nullptr) << "missing displayTimeUnit";
-  if (unit != nullptr) EXPECT_EQ(unit->string_value, "ms");
+  if (unit != nullptr) {
+    EXPECT_EQ(unit->string_value, "ms");
+  }
 
   const testing::JsonValue* events = doc->Find("traceEvents");
   EXPECT_NE(events, nullptr) << "missing traceEvents";

@@ -17,7 +17,7 @@ FactRef TargetFact(const Scenario& s, const std::string& relation,
   return RequireTargetFact(*s.target, relation, Tuple(std::move(values)));
 }
 
-std::vector<std::string> BranchTgds(const RouteForest& forest,
+std::vector<std::string> BranchTgds(const RouteForest& /*forest*/,
                                     const RouteForest::Node& node,
                                     const SchemaMapping& mapping) {
   std::vector<std::string> names;

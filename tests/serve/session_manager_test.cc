@@ -183,7 +183,7 @@ TEST(SessionManagerTest, StatsReplyGolden) {
             "shared_forest_hits 0\n"
             "shared_forest_misses 0\n"
             "shared_evictions 0\n"
-            "shared_bytes 728\n"
+            "shared_bytes 328\n"
             "shared_entries 1\n"
             "plan_cache_bytes 712\n"
             "plan_cache_evictions 0\n");

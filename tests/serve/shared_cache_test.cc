@@ -31,11 +31,10 @@ TEST(SharedRouteCacheTest, RouteRoundTripAndStateIsolation) {
   EXPECT_EQ(cache.FindRoute(1, fact), nullptr);
 
   Route route;
-  cache.PutRoute(1, fact, route, {TestKey(0, 1, 2)});
+  cache.PutRoute(1, fact, route);
   auto hit = cache.FindRoute(1, fact);
   ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->deps.size(), 1u);
-  EXPECT_EQ(hit->deps[0], TestKey(0, 1, 2));
+  EXPECT_EQ(hit->steps(), route.steps());
 
   // A different state key is a different world: no hit.
   EXPECT_EQ(cache.FindRoute(2, fact), nullptr);
@@ -49,8 +48,8 @@ TEST(SharedRouteCacheTest, RouteRoundTripAndStateIsolation) {
 
 TEST(SharedRouteCacheTest, EvictsColdestUnderByteBudget) {
   SharedRouteCache cache(/*max_bytes=*/1);  // Room for one entry at most.
-  cache.PutRoute(1, TestKey(0, 1, 2), Route(), {});
-  cache.PutRoute(1, TestKey(0, 3, 4), Route(), {});
+  cache.PutRoute(1, TestKey(0, 1, 2), Route());
+  cache.PutRoute(1, TestKey(0, 3, 4), Route());
   SharedRouteCacheStats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 1u);
@@ -67,7 +66,7 @@ TEST(SharedRouteCacheTest, EvictedForestSurvivesViaSharedPtr) {
   size_t nodes = forest->NumNodes();
   std::shared_ptr<RouteForest> held =
       cache.PutForest(1, TestKey(0, 1, 2), std::move(forest));
-  cache.PutRoute(1, TestKey(0, 9, 9), Route(), {});  // Evicts the forest.
+  cache.PutRoute(1, TestKey(0, 9, 9), Route());  // Evicts the forest.
   EXPECT_EQ(cache.FindForest(1, TestKey(0, 1, 2)), nullptr);
   ASSERT_NE(held, nullptr);  // The handed-out reference stays valid.
   EXPECT_EQ(held->NumNodes(), nodes);
